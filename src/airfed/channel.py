@@ -20,7 +20,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,13 +92,12 @@ class MultipathProfile:
 
 @dataclass
 class SensorLinkState:
-    """Per-sensor ground-truth impairments plus the local sample-count clock."""
+    """Per-sensor ground-truth impairments."""
 
     profile: MultipathProfile
     cfo_hz: float = 0.0
     to_dl_s: float = 0.0
     to_ul_s: float = 0.0
-    clock_s: float = 0.0
 
     def validate(self, phy: PhyConfig) -> None:
         self.profile.validate(phy)

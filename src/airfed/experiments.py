@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import platform
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,36 +24,22 @@ from .channel import (
     add_awgn,
     apply_cfo,
     apply_multipath,
-    apply_timing_offset,
     default_profile,
     draw_link_states,
     unit_profile,
 )
 from .config import ConfigError, ExperimentConfig, config_hash, config_to_dict
-from .fl import (
-    batch_indices,
-    eta_schedule,
-    gen_rss_map,
-    global_update,
-    heatmap_nmse,
-    init_model,
-    local_gradient,
-    mse_loss,
-    offline_baseline,
-)
-from .framing import detect_frame, digital_frame_layout, gen_cfo_subframe, gen_ft, slice_frame
+from .fl import eta_schedule, gen_rss_map, heatmap_nmse, init_model, offline_baseline, train
+from .framing import detect_frame, gen_cfo_subframe, gen_ft
 from .ofdm import (
     OfdmSymbol,
-    average_estimates,
-    demap_qam,
     equalize,
     ls_channel_estimate,
     make_pilot_plan,
     map_qam,
-    ofdm_demodulate,
     qam_symbol_error_count,
 )
-from .protocol import HandshakeSession, ProtocolAbort, rx_ofdm, tx_ofdm
+from .protocol import HandshakeSession, rx_ofdm, tx_ofdm
 from .sync import CfoEstimate, coarse_cfo_estimate, start_tracking, track_residual_cfo
 
 
@@ -320,21 +305,15 @@ def train_ota(cfg: ExperimentConfig, rss, seed: int):
         round_period_s=cfg.apb.round_period_s, turnaround_s=cfg.apb.turnaround_s,
     )
     session.initialize()
-    model = init_model(seed)
-    all_x = np.concatenate([d.x for d in rss.datasets])
-    all_y = np.concatenate([d.y for d in rss.datasets])
-    losses = np.empty(tcfg.rounds)
-    nmses = np.empty(tcfg.rounds)
-    for t in range(tcfg.rounds):
-        grads = [
-            local_gradient(model, ds, batch_indices(tcfg, seed, t, k, len(ds.y)))
-            for k, ds in enumerate(rss.datasets)
-        ]
+    nmses = []
+
+    def over_the_air(grads):
         result = session.run_round(grads)
-        model = global_update(model, result.aggregate, eta_schedule(tcfg, t))
-        losses[t] = mse_loss(model, all_x, all_y)
-        nmses[t] = result.nmse_d
-    return model, losses, nmses, session
+        nmses.append(result.nmse_d)
+        return result.aggregate
+
+    model, losses = train(tcfg, rss, seed, over_the_air)
+    return model, losses, np.array(nmses), session
 
 
 def run_train(cfg: ExperimentConfig) -> ScenarioResult:

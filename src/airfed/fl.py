@@ -344,21 +344,28 @@ def batch_indices(cfg: TrainConfig, seed: int, t: int, sensor: int, n: int) -> n
     return rng.choice(n, size=cfg.batch_size, replace=False)
 
 
-def offline_baseline(cfg: TrainConfig, rss: RssMap, seed: int) -> tuple[MlpModel, np.ndarray]:
-    """Noiseless aggregation twin: exact sum of local gradients every round.
+def train(cfg: TrainConfig, rss: RssMap, seed: int, aggregate) -> tuple[MlpModel, np.ndarray]:
+    """SGD on the sum of the sensors' local gradients, one step per round.
 
-    Uses the same initialization and batch schedule as the over-the-air run
-    so the two trajectories are comparable round by round.
+    ``aggregate(grads)`` turns the per-sensor gradients of a round into the
+    summed update.  Every run starts from ``init_model(seed)`` and draws the
+    shared batch schedule, so two runs that differ only in ``aggregate`` are
+    comparable round by round.
     """
     model = init_model(seed)
     all_x = np.concatenate([d.x for d in rss.datasets])
     all_y = np.concatenate([d.y for d in rss.datasets])
     losses = np.empty(cfg.rounds)
     for t in range(cfg.rounds):
-        agg = np.zeros(N_PARAMS)
-        for k, ds in enumerate(rss.datasets):
-            idx = batch_indices(cfg, seed, t, k, len(ds.y))
-            agg += local_gradient(model, ds, idx)
-        model = global_update(model, agg, eta_schedule(cfg, t))
+        grads = [
+            local_gradient(model, ds, batch_indices(cfg, seed, t, k, len(ds.y)))
+            for k, ds in enumerate(rss.datasets)
+        ]
+        model = global_update(model, aggregate(grads), eta_schedule(cfg, t))
         losses[t] = mse_loss(model, all_x, all_y)
     return model, losses
+
+
+def offline_baseline(cfg: TrainConfig, rss: RssMap, seed: int) -> tuple[MlpModel, np.ndarray]:
+    """Noiseless aggregation twin: exact sum of local gradients every round."""
+    return train(cfg, rss, seed, lambda grads: sum(grads, np.zeros(N_PARAMS)))

@@ -19,10 +19,9 @@ from .config import PhyConfig
 
 @dataclass(frozen=True)
 class FtSequence:
-    """BPSK +-1 frame-timing sequence with its generator seed."""
+    """BPSK +-1 frame-timing sequence."""
 
     symbols: np.ndarray
-    seed_prbs: int = 0
 
     def __post_init__(self):
         sym = np.asarray(self.symbols, dtype=float)
@@ -63,8 +62,7 @@ def gen_ft(phy: PhyConfig, seed: int) -> FtSequence:
         raise ValueError("m_ft must be even")
     rng = np.random.default_rng(seed)
     chips = rng.choice([-1.0, 1.0], size=phy.m_ft // 2)
-    ft = ft_from_chips(chips)
-    return FtSequence(symbols=ft.symbols, seed_prbs=seed)
+    return ft_from_chips(chips)
 
 
 def gen_cfo_subframe(phy: PhyConfig, length: int, pilot_amp: float) -> SampleStream:

@@ -61,11 +61,6 @@ class PilotPlan:
     pilot_symbols: tuple[np.ndarray, ...]  # known subcarrier values per slot
     seed: int
 
-    def slot_of(self, k: int) -> int:
-        if not 0 <= k < self.k_sensors:
-            raise ValueError(f"sensor index {k} out of range")
-        return k
-
 
 def make_pilot_plan(phy: PhyConfig, k_sensors: int, seed: int) -> PilotPlan:
     """Seeded 4-QAM pilot values, one known OFDM symbol per sensor slot."""

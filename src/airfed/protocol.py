@@ -22,14 +22,13 @@ that every per-sensor misalignment lands on the cyclic-prefix side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import (
     SampleStream,
     SensorLinkState,
-    add_awgn,
     apply_cfo,
     apply_multipath,
     apply_timing_offset,
@@ -78,7 +77,7 @@ class ProtocolAbort(RuntimeError):
     """A round failed twice in a row; diagnostics attached."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreEqState:
     """Per-sensor pre-equalization estimates carried across rounds."""
 
@@ -88,7 +87,6 @@ class PreEqState:
     h_dl_prev: FreqChannelEstimate | None = None
     t_dl_prev: float = math.nan
     t_ul_prev: float = math.nan
-    round_i: int = 0
 
 
 @dataclass
@@ -153,10 +151,6 @@ def slope_delay(h: FreqChannelEstimate, phy: PhyConfig) -> float:
     return float(phy.n_fft / (2.0 * np.pi * phy.fs_hz) * np.angle(acc))
 
 
-def estimate_tau0(h_ota: FreqChannelEstimate, phy: PhyConfig) -> float:
-    return slope_delay(h_ota, phy)
-
-
 def estimate_residual_cfo_sensor(
     h_dl_prev: FreqChannelEstimate,
     h_dl_now: FreqChannelEstimate,
@@ -200,29 +194,22 @@ def integer_sample_drift(
     return int(candidates[int(np.argmax(scores))])
 
 
-def update_phi(state: PreEqState, dt_dl_s: float, dt_ul_s: float) -> float:
-    """Advance the phase estimate by the residual-CFO rotation over one round."""
-    state.phi_hat = wrap_pi(state.phi_hat - 2.0 * np.pi * state.dfr_hat * (dt_dl_s + dt_ul_s))
-    return state.phi_hat
+def update_phi(phi_hat: float, dfr_hat: float, dt_dl_s: float, dt_ul_s: float) -> float:
+    """The phase estimate advanced by the residual-CFO rotation over one round."""
+    return wrap_pi(phi_hat - 2.0 * np.pi * dfr_hat * (dt_dl_s + dt_ul_s))
 
 
-def update_tau(
-    state: PreEqState,
-    h_dl_prev: FreqChannelEstimate,
-    h_dl_now: FreqChannelEstimate,
-    phy: PhyConfig,
-) -> float:
-    """Track integer-sample timing drift seen in the downlink slope.
+def update_tau(tau_hat: float, drift: int, phy: PhyConfig) -> float:
+    """The delay estimate after an integer-sample drift of the downlink slope.
 
-    A downlink drift of delta samples moves the downlink slope by +delta
-    while the uplink side stays put, so the uplink-minus-downlink delay
-    moves by -delta.  Drift beyond one sample signals sync loss.
+    A downlink drift of delta samples (see ``integer_sample_drift``) moves
+    the downlink slope by +delta while the uplink side stays put, so the
+    uplink-minus-downlink delay moves by -delta.  Drift beyond one sample
+    signals sync loss.
     """
-    drift = integer_sample_drift(h_dl_prev, h_dl_now, phy)
     if abs(drift) > 1:
-        raise SyncLossError(f"timing drift of {drift} samples between rounds")
-    state.tau_hat = state.tau_hat - drift * phy.t_s
-    return state.tau_hat
+        raise SyncLossError(f"drift {drift} samples")
+    return tau_hat - drift * phy.t_s
 
 
 @dataclass
@@ -337,10 +324,7 @@ class SensorNode:
         self.common_pilot = common_pilot
         self.compensation = compensation
         self.lo_corr_hz = 0.0
-        self.state = PreEqState()
-        self.tracking = CfoEstimate()
-        self.h_dl: FreqChannelEstimate | None = None
-        self.flags: list[str] = []
+        self.reset_sync()
 
     # -- initialization ----------------------------------------------------
 
@@ -352,7 +336,6 @@ class SensorNode:
         parts = slice_frame(rx.samples, layout, dec.m0)
         est = coarse_cfo_estimate(SampleStream(parts["cfo"], rx.t0_s), self.phy)
         self.lo_corr_hz += est
-        self.tracking.coarse_hz = self.lo_corr_hz
         return est
 
     def reset_sync(self):
@@ -360,7 +343,7 @@ class SensorNode:
         self.state = PreEqState()
         self.tracking = CfoEstimate()
         self.h_dl = None
-        self.flags.clear()
+        self.recorrection = False
 
     # -- downlink processing -------------------------------------------------
 
@@ -384,39 +367,43 @@ class SensorNode:
 
     def process_round_dl(self, rx: SampleStream, layout: FrameLayout, t_ul_next: float,
                          ctrl: dict | None = None) -> dict:
-        """Per-round estimate updates; returns a diagnostics dict."""
+        """Per-round estimate updates; returns a diagnostics dict.
+
+        Nothing is rebound before the last step that can raise, so a failed
+        call leaves this sensor's state as it was.
+        """
         t_dl, h_now, raw_pilot0, dec = self.receive_dl_digital(rx, layout)
         st = self.state
         diag = {"sensor": self.k, "detect_m0": dec.m0, "detect_peak": dec.peak}
         if ctrl is not None:
-            st.phi_hat = float(ctrl["phi0"][self.k])
-            st.tau_hat = float(ctrl["tau0"][self.k])
+            st = replace(st, phi_hat=float(ctrl["phi0"][self.k]), tau_hat=float(ctrl["tau0"][self.k]))
+        tracking = self.tracking
         if self.compensation and st.h_dl_prev is not None:
             dt_dl = t_dl - st.t_dl_prev
             dt_ul = t_ul_next - st.t_ul_prev
             drift = integer_sample_drift(st.h_dl_prev, h_now, self.phy)
-            if abs(drift) > 1:
-                raise SyncLossError(f"sensor {self.k}: drift {drift} samples")
-            st.dfr_hat = estimate_residual_cfo_sensor(st.h_dl_prev, h_now, dt_dl, self.phy, drift)
-            update_tau(st, st.h_dl_prev, h_now, self.phy)
-            update_phi(st, dt_dl, dt_ul)
-            if self.tracking.prev_pilot is not None:
-                track_residual_cfo(self.tracking, raw_pilot0, t_dl)
+            try:
+                tau_hat = update_tau(st.tau_hat, drift, self.phy)
+            except SyncLossError as exc:
+                raise SyncLossError(f"sensor {self.k}: {exc}") from exc
+            dfr_hat = estimate_residual_cfo_sensor(st.h_dl_prev, h_now, dt_dl, self.phy, drift)
+            st = replace(st, phi_hat=update_phi(st.phi_hat, dfr_hat, dt_dl, dt_ul),
+                         tau_hat=tau_hat, dfr_hat=dfr_hat)
+            if tracking.prev_pilot is not None:
+                tracking = track_residual_cfo(tracking, raw_pilot0, t_dl)
                 # check against a two-period horizon: an estimate aliased by a
                 # residual already past the bound still lands above half of it
-                if needs_recorrection(self.tracking, 2.0 * dt_dl):
-                    self.flags.append("recorrection")
+                if needs_recorrection(tracking, 2.0 * dt_dl):
+                    self.recorrection = True
                     diag["recorrection"] = True
-            drift_guard = self.phy.kappa * self.phy.n_fft * abs(self.tracking.residual_hz) * self.phy.t_s
+            drift_guard = self.phy.kappa * self.phy.n_fft * abs(tracking.residual_hz) * self.phy.t_s
             if drift_guard >= 0.01:
-                self.flags.append("phase_drift_guard")
                 diag["phase_drift_guard"] = drift_guard
-            diag.update(drift=drift, dfr_hat=st.dfr_hat)
+            diag.update(drift=drift, dfr_hat=dfr_hat)
         else:
-            start_tracking(self.tracking, raw_pilot0, t_dl)
-        st.h_dl_prev = h_now
-        st.t_dl_prev = t_dl
-        st.t_ul_prev = t_ul_next
+            tracking = start_tracking(tracking, raw_pilot0, t_dl)
+        self.state = replace(st, h_dl_prev=h_now, t_dl_prev=t_dl, t_ul_prev=t_ul_next)
+        self.tracking = tracking
         self.h_dl = h_now
         diag.update(t_dl=t_dl, phi_hat=st.phi_hat, tau_hat=st.tau_hat)
         return diag
@@ -424,8 +411,7 @@ class SensorNode:
     # -- uplink construction -------------------------------------------------
 
     def _preeq_symbol(self, sym: OfdmSymbol) -> tuple[SampleStream, list[str]]:
-        res = pre_equalize(sym, self.state if self.compensation else
-                           PreEqState(phi_hat=0.0, tau_hat=0.0), self.h_dl, self.phy)
+        res = pre_equalize(sym, self.state if self.compensation else PreEqState(), self.h_dl, self.phy)
         flags = []
         if res.cap_exceeded:
             flags.append("power_cap")
@@ -467,13 +453,11 @@ class SensorNode:
 class AccessPoint:
     """AP logic: broadcast construction and aggregate reception."""
 
-    def __init__(self, phy: PhyConfig, ft: FtSequence, plan: PilotPlan, common_pilot: OfdmSymbol,
-                 rng: np.random.Generator):
+    def __init__(self, phy: PhyConfig, ft: FtSequence, plan: PilotPlan, common_pilot: OfdmSymbol):
         self.phy = phy
         self.ft = ft
         self.plan = plan
         self.common_pilot = common_pilot
-        self.rng = rng
 
     def build_preamble(self) -> SampleStream:
         phy = self.phy
@@ -483,7 +467,7 @@ class AccessPoint:
             "cfo": gen_cfo_subframe(phy, phy.m_cfo_init, phy.pilot_amp),
         })
 
-    def build_dl_digital(self, layout: FrameLayout, n_data: int = 0) -> SampleStream:
+    def build_dl_digital(self, layout: FrameLayout) -> SampleStream:
         phy = self.phy
         parts: dict[str, np.ndarray | SampleStream] = {
             "ft": self.ft.symbols.astype(np.complex128),
@@ -491,10 +475,6 @@ class AccessPoint:
         }
         for j in range(self.plan.k_sensors):
             parts[f"pilot{j}"] = tx_ofdm(OfdmSymbol(self.plan.pilot_symbols[j].copy()), phy)
-        for i in range(n_data):
-            # filler payload; control values travel on protocol events
-            bits_sym = OfdmSymbol(np.zeros(phy.n_fft, dtype=complex))
-            parts[f"data{i}"] = tx_ofdm(bits_sym, phy)
         return assemble_frame(layout, parts)
 
     def _ul_anchor(self) -> int:
@@ -510,7 +490,7 @@ class AccessPoint:
             est = ls_channel_estimate(sym, self.plan.pilot_symbols[k], t_s=t_ul_s, kind="OTA")
             h_ota[k] = est
             phi0[k] = estimate_phi0(est)
-            tau0[k] = estimate_tau0(est, phy)
+            tau0[k] = slope_delay(est, phy)
         diag_det = detect_frame(rx, self.ft, phy)
         return phi0, tau0, h_ota, diag_det
 
@@ -551,7 +531,6 @@ class AccessPoint:
 @dataclass
 class RoundResult:
     index: int
-    ok: bool
     retried: bool
     nmse_d: float
     aggregate: np.ndarray
@@ -591,7 +570,7 @@ class HandshakeSession:
         self.plan = make_pilot_plan(phy, self.k_sensors, pilot_seed)
         self.common = make_common_pilot(phy, common_seed)
         self.air = AirInterface(phy, links, snr_db, self.rng)
-        self.ap = AccessPoint(phy, self.ft, self.plan, self.common, self.rng)
+        self.ap = AccessPoint(phy, self.ft, self.plan, self.common)
         self.sensors = [
             SensorNode(k, phy, self.ft, self.plan, self.common, compensation)
             for k in range(self.k_sensors)
@@ -599,7 +578,6 @@ class HandshakeSession:
         self.n_data = int(np.ceil(payload_len / phy.n_used))
         self.dl_layout = digital_frame_layout(phy, self.k_sensors, n_data=0)
         self.ul_layout = ota_frame_layout(phy, self.n_data)
-        self.ack_layout = digital_frame_layout(phy, self.k_sensors, n_data=0)
         dl_dur = (self.dl_layout.total_len + 2 * phy.guard) * phy.t_s
         ul_dur = (self.ul_layout.total_len + 2 * phy.guard) * phy.t_s
         self.ul_offset_s = dl_dur + turnaround_s
@@ -647,12 +625,12 @@ class HandshakeSession:
 
         acks = {}
         for k in range(self.k_sensors):
-            frame, flags = self.sensors[k].build_stage1_ack(self.ack_layout)
+            frame, flags = self.sensors[k].build_stage1_ack(self.dl_layout)
             acks[k] = frame
             if flags:
                 self.trace.append(ProtocolEvent("UlPreEqAck", t_ul, {"sensor": k, "flags": flags}))
         rx = self._collect_ul(acks, t_ul)
-        phi0, tau0, h_ota, det = self.ap.receive_stage1(rx, self.ack_layout, t_ul)
+        phi0, tau0, h_ota, det = self.ap.receive_stage1(rx, self.dl_layout, t_ul)
         self.ctrl = {"phi0": phi0, "tau0": tau0}
         self.ctrl_pending = True
         self.trace.append(ProtocolEvent("UlPreEqAck", t_ul, {
@@ -677,7 +655,7 @@ class HandshakeSession:
 
     def _maybe_recorrect(self):
         """Re-run the coarse correction when a sensor requested it."""
-        if not any("recorrection" in s.flags for s in self.sensors):
+        if not any(s.recorrection for s in self.sensors):
             return False
         self.trace.append(ProtocolEvent("CtrlBroadcast", self._next_dl_t,
                                         {"action": "coarse_recorrection"}))
@@ -728,19 +706,13 @@ class HandshakeSession:
         return agg, nmse, flags, diag
 
     def _snapshot_sensors(self):
-        import copy
-
-        sensors = [copy.deepcopy((s.lo_corr_hz, s.state, s.tracking, s.h_dl)) for s in self.sensors]
-        return sensors, self.ctrl_pending
+        """References to the round state; its values are never mutated."""
+        return [(s.state, s.tracking, s.h_dl, s.recorrection) for s in self.sensors], self.ctrl_pending
 
     def _restore_sensors(self, snap):
-        sensors, ctrl_pending = snap
-        for s, (corr, state, tracking, h_dl) in zip(self.sensors, sensors):
-            s.lo_corr_hz = corr
-            s.state = state
-            s.tracking = tracking
-            s.h_dl = h_dl
-        self.ctrl_pending = ctrl_pending
+        sensors, self.ctrl_pending = snap
+        for s, (state, tracking, h_dl, recorrection) in zip(self.sensors, sensors):
+            s.state, s.tracking, s.h_dl, s.recorrection = state, tracking, h_dl, recorrection
 
     def run_round(self, payloads: list[np.ndarray]) -> RoundResult:
         """One aggregation round with a single retry on failure.
@@ -762,7 +734,7 @@ class HandshakeSession:
         snap = self._snapshot_sensors()
         try:
             agg, nmse, flags, diag = self._run_round_once(payloads, base, base + self.ul_offset_s)
-            return RoundResult(self.round_index, True, False, nmse, agg, flags, diag)
+            return RoundResult(self.round_index, False, nmse, agg, flags, diag)
         except (SyncLossError, FrameDetectionError) as first:
             self._restore_sensors(snap)
             self.trace.append(ProtocolEvent("DlOtaRequest", base, {
@@ -771,7 +743,7 @@ class HandshakeSession:
             try:
                 agg, nmse, flags, diag = self._run_round_once(
                     payloads, retry_dl, retry_dl + self.ul_offset_s)
-                return RoundResult(self.round_index, True, True, nmse, agg, flags, diag)
+                return RoundResult(self.round_index, True, nmse, agg, flags, diag)
             except (SyncLossError, FrameDetectionError) as second:
                 self._restore_sensors(snap)
                 raise ProtocolAbort(

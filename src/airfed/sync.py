@@ -9,7 +9,7 @@ error keeps shrinking while the channel holds still.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,28 +18,24 @@ from .config import PhyConfig
 from .ofdm import OfdmSymbol
 
 
-@dataclass
+@dataclass(frozen=True)
 class CfoEstimate:
-    """Per-link CFO tracking state.
+    """Per-link CFO tracking state; updates return a new value.
 
     ``residual_hz`` is the running mean over ``p_count`` single-shot
     estimates; ``prev_pilot`` holds the raw subcarrier values of the last
     pilot so the next update can measure the inter-pilot rotation.
     """
 
-    coarse_hz: float = 0.0
     residual_hz: float = 0.0
     p_count: int = 0
     last_t_s: float = 0.0
     prev_pilot: np.ndarray | None = None
-    history: list = field(default_factory=list)  # (t_p, shot_hz, mean_hz)
 
 
 def start_tracking(state: CfoEstimate, rx_pilot: OfdmSymbol, t_s: float) -> CfoEstimate:
-    """Store the reference pilot that subsequent updates compare against."""
-    state.prev_pilot = rx_pilot.freq.copy()
-    state.last_t_s = t_s
-    return state
+    """Return ``state`` holding the reference pilot that later updates compare against."""
+    return replace(state, prev_pilot=rx_pilot.freq.copy(), last_t_s=t_s)
 
 
 def coarse_cfo_estimate(r_init: SampleStream, phy: PhyConfig) -> float:
@@ -82,12 +78,7 @@ def track_residual_cfo(state: CfoEstimate, rx_pilot: OfdmSymbol, t_p: float) -> 
     shot = float(np.mean(angles) / (2.0 * np.pi * dt))
     p = state.p_count + 1
     mean = ((p - 1) / p) * state.residual_hz + shot / p
-    state.residual_hz = mean
-    state.p_count = p
-    state.last_t_s = t_p
-    state.prev_pilot = now.copy()
-    state.history.append((t_p, shot, mean))
-    return state
+    return replace(state, residual_hz=mean, p_count=p, last_t_s=t_p, prev_pilot=now.copy())
 
 
 def needs_recorrection(state: CfoEstimate, delta_t_s: float) -> bool:

@@ -46,8 +46,8 @@ from airfed.protocol import (
     PreEqState,
     estimate_phi0,
     estimate_residual_cfo_sensor,
-    estimate_tau0,
     pre_equalize,
+    slope_delay,
     wrap_pi,
 )
 from airfed.channel import SampleStream
@@ -111,7 +111,7 @@ def test_c02_estimator_oracle_match():
         phi_true = -2 * np.pi * fr * (t_dl0 + t_ul0)
         tau_true = link.to_ul_s - link.to_dl_s
         phi_hat = estimate_phi0(h_ota)
-        tau_hat = estimate_tau0(h_ota, PHY)
+        tau_hat = slope_delay(h_ota, PHY)
         h_dl2 = effective_channel_oracle(link, "DL", t_dl0 + dt, fr, PHY)
         f_hat = estimate_residual_cfo_sensor(h_dl, h_dl2, dt, PHY)
         worst_phi = max(worst_phi, abs(wrap_pi(phi_hat - phi_true)))
