@@ -163,8 +163,11 @@ def apply_cfo(x: SampleStream, cfo_hz: float, phy: PhyConfig) -> SampleStream:
     """Rotate sample m by exp(j 2 pi cfo (t0 + m Ts)); timestamps preserved."""
     if cfo_hz == 0.0:
         return x.copy()
-    t = x.t0_s + np.arange(len(x)) * phy.t_s
-    return SampleStream(x.samples * np.exp(2j * np.pi * cfo_hz * t), x.t0_s)
+    # Out of place on purpose: numpy's SIMD complex multiply and exp change the
+    # last bits with operand order and with an output aliasing an input.
+    return SampleStream(
+        x.samples * np.exp(2j * np.pi * cfo_hz * (x.t0_s + np.arange(len(x)) * phy.t_s)), x.t0_s
+    )
 
 
 def apply_timing_offset(x: SampleStream, dt_s: float, phy: PhyConfig) -> SampleStream:
@@ -204,11 +207,21 @@ def add_awgn(x: SampleStream, snr_db: float, rng_seed) -> SampleStream:
     if p_sig <= 0.0:
         raise ValueError("cannot set an SNR on a zero-power stream")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    sigma2 = p_sig / (10.0 ** (snr_db / 10.0))
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
-    )
-    return SampleStream(x.samples + noise, x.t0_s)
+    return add_noise(x, p_sig, snr_db, rng)
+
+
+def add_noise(x: SampleStream, p_ref: float, snr_db: float, rng: np.random.Generator) -> SampleStream:
+    """Add complex white Gaussian noise ``snr_db`` below the power ``p_ref``.
+
+    Bit for bit ``x + s * (a + 1j * b)``, with ``s`` the per-component noise
+    deviation and ``a`` then ``b`` drawn from ``rng``: per component it is the
+    same rounded multiply and add, without a complex noise array beside x.
+    """
+    s = np.sqrt(p_ref / (10.0 ** (snr_db / 10.0)) / 2.0)
+    out = x.samples.copy()
+    out.real += s * rng.standard_normal(len(x))
+    out.imag += s * rng.standard_normal(len(x))
+    return SampleStream(out, x.t0_s)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 from .channel import (
     SampleStream,
     SensorLinkState,
+    add_noise,
     apply_cfo,
     apply_multipath,
     apply_timing_offset,
@@ -74,7 +75,7 @@ class FrameDetectionError(RuntimeError):
 
 
 class ProtocolAbort(RuntimeError):
-    """A round failed twice in a row; diagnostics attached."""
+    """The session cannot go on: set-up failed, or a round failed twice in a row."""
 
 
 @dataclass(frozen=True)
@@ -270,11 +271,7 @@ class AirInterface:
         g = self.phy.guard
         occupied = x.samples[g : g + frame_len]
         p_ref = float(np.mean(np.abs(occupied) ** 2))
-        sigma2 = p_ref / (10.0 ** (self.snr_db / 10.0))
-        noise = np.sqrt(sigma2 / 2.0) * (
-            self.rng.standard_normal(len(x)) + 1j * self.rng.standard_normal(len(x))
-        )
-        return SampleStream(x.samples + noise, x.t0_s)
+        return add_noise(x, p_ref, self.snr_db, self.rng)
 
     def downlink(self, tx: SampleStream, k: int, lo_corr_hz: float, frame_len: int) -> SampleStream:
         """One sensor's received copy of an AP broadcast."""
@@ -286,20 +283,22 @@ class AirInterface:
 
     def uplink_aggregate(self, txs: dict[int, SampleStream], lo_corrs: dict[int, float],
                          frame_len: int) -> SampleStream:
-        """Sample-level sum of all sensors' uplink transmissions plus noise."""
-        outs = []
+        """Sample-level sum of all sensors' uplink transmissions plus noise.
+
+        Each arrival is added to the running sum, in sensor order, as soon as
+        it is made; the sum grows with zeros when a longer arrival comes.
+        """
+        total = np.zeros(0, dtype=np.complex128)
         t0 = None
         for k, tx in txs.items():
             link = self.links[k]
             y = apply_multipath(tx, link.profile, self.phy)
             y = apply_timing_offset(y, link.to_ul_s, self.phy)
             y = apply_cfo(y, -(link.cfo_hz - lo_corrs[k]), self.phy)
-            outs.append(y.samples)
+            if len(y) > len(total):
+                total = np.pad(total, (0, len(y) - len(total)))
+            total[: len(y)] += y.samples
             t0 = y.t0_s
-        n = max(len(o) for o in outs)
-        total = np.zeros(n, dtype=np.complex128)
-        for o in outs:
-            total[: len(o)] += o
         return self._noisy(SampleStream(total, t0), frame_len)
 
 
@@ -610,12 +609,16 @@ class HandshakeSession:
         """Init preamble, stage-1 downlink and uplink, control broadcast."""
         phy = self.phy
         t = t0
-        preamble = self.ap.build_preamble()
+        padded = _pad(self.ap.build_preamble(), phy, t)
+        preamble_len = len(padded) - 2 * phy.guard
         self.trace.append(ProtocolEvent("DlTrigger", t, {"frame": "InitPreamble"}))
-        for k, rx in enumerate(self._broadcast(preamble, t)):
-            est = self.sensors[k].receive_preamble(rx)
+        # Each received copy is as long as the 10^6-sample preamble, so one is
+        # made, consumed and dropped before the next: memory stays flat in K.
+        # Receiving draws no noise, so the noise stream keeps its order.
+        for k, node in enumerate(self.sensors):
+            est = node.receive_preamble(self.air.downlink(padded, k, node.lo_corr_hz, preamble_len))
             self.trace.append(ProtocolEvent("CtrlBroadcast", t, {"sensor": k, "coarse_hz": est}))
-        t += (len(preamble) + 2 * phy.guard) * phy.t_s + self.turnaround_s
+        t += len(padded) * phy.t_s + self.turnaround_s
 
         dl = self.ap.build_dl_digital(self.dl_layout)
         self.trace.append(ProtocolEvent("DlTrigger", t, {"frame": "Stage1DL"}))
@@ -649,7 +652,10 @@ class HandshakeSession:
                 "uplink": self.ul_layout.describe(),
             },
         }))
-        h_ota = self._initialize_at(0.0)
+        try:
+            h_ota = self._initialize_at(0.0)
+        except (SyncLossError, FrameDetectionError) as exc:
+            raise ProtocolAbort(f"session set-up failed: {exc}") from exc
         self.initialized = True
         return h_ota
 
@@ -662,7 +668,12 @@ class HandshakeSession:
         for s in self.sensors:
             s.reset_sync()
         self.recorrections += 1
-        self._initialize_at(self._next_dl_t)
+        try:
+            self._initialize_at(self._next_dl_t)
+        except (SyncLossError, FrameDetectionError) as exc:
+            raise ProtocolAbort(
+                f"coarse re-correction before round {self.round_index + 1} failed: {exc}"
+            ) from exc
         return True
 
     def _run_round_once(self, payloads: list[np.ndarray], t_dl: float, t_ul: float):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from airfed.channel import (
-    SensorLinkState,
     add_awgn,
     apply_cfo,
     apply_multipath,
@@ -27,7 +26,6 @@ from airfed.config import (
     ExperimentConfig,
     FrameTimingParams,
     PhyConfig,
-    TrainConfig,
     load_config,
 )
 from airfed.experiments import run_apb, run_cfo, run_frame_timing, run_scenario
@@ -42,7 +40,6 @@ from airfed.fl import (
 from airfed.framing import detect_frame, gen_cfo_subframe, gen_ft
 from airfed.ofdm import OfdmSymbol
 from airfed.protocol import (
-    HandshakeSession,
     PreEqState,
     estimate_phi0,
     estimate_residual_cfo_sensor,

@@ -13,6 +13,7 @@ from airfed.channel import (
     apply_multipath,
     apply_timing_offset,
     add_awgn,
+    add_noise,
     default_profile,
     effective_channel_oracle,
     subcarrier_indices,
@@ -206,6 +207,20 @@ def test_awgn_empirical_snr():
 def test_awgn_rejects_zero_power():
     with pytest.raises(ValueError):
         add_awgn(stream(np.zeros(8)), 10.0, 0)
+
+
+def test_add_noise_bitwise_equals_complex_noise_sum():
+    # the real and imaginary adds must round exactly like x + s*(a + 1j*b);
+    # bits are compared because array_equal calls -0 and +0 equal
+    for n in (1, 7, 10_001):
+        x = random_stream(np.random.default_rng(n), n)
+        before = x.samples.copy()
+        y = add_noise(x, 2.5, 3.0, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        s = np.sqrt(2.5 / (10.0 ** (3.0 / 10.0)) / 2.0)
+        ref = x.samples + s * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert np.array_equal(y.samples.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(x.samples.view(np.uint64), before.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

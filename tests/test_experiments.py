@@ -3,9 +3,7 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from airfed.cli import main as cli_main
@@ -219,6 +217,19 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_bad_snr_exit_code(tmp_path):
     rc = cli_main(["frame-timing", "--snr-db", "ten", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_cli_setup_failure_exit_code(tmp_path, capsys):
+    # at 0 dB sensor 0 misses a 20k-sample init preamble during set-up
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "e2e", "seed": 0, "snr_db": [0.0], "phy": {"m_cfo_init": 20000},
+        "e2e": {"rounds": 10, "payload_len": 512}, "out_dir": str(tmp_path / "out"),
+    }))
+    rc = cli_main(["e2e", "--config", str(cfg_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "protocol abort: session set-up failed: sensor 0: preamble not detected\n")
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -20,7 +20,6 @@ from airfed.fl import (
     global_update,
     init_model,
     local_gradient,
-    mse_loss,
     offline_baseline,
     payload_scale,
     RssDataset,

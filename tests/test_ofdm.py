@@ -12,7 +12,6 @@ from airfed.channel import (
     apply_multipath,
     default_profile,
     effective_channel_oracle,
-    unit_profile,
 )
 from airfed.config import ChannelConfig, PhyConfig
 from airfed.ofdm import (

@@ -1,6 +1,7 @@
 """Pre-equalization estimators and the two-stage handshake."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,40 @@ def test_handshake_recorrection_recovers_large_residual():
             break
     assert session.recorrections >= 1
     assert results[-1].nmse_d < 1e-9  # clean again after the re-correction
+
+
+def test_failed_recorrection_aborts_naming_stage_and_sensor():
+    phy = PhyConfig(m_cfo_init=20_000)
+    links = draw_link_states(phy, ChannelConfig(), 2, np.random.default_rng(19))
+    session = HandshakeSession(links, phy, snr_db=math.inf, seed=12, payload_len=256)
+    session.initialize()
+    session.air.downlink = lambda tx, k, lo_corr_hz, frame_len: SampleStream(
+        np.zeros(len(tx), dtype=complex), tx.t0_s)
+    session.sensors[1].recorrection = True
+    with pytest.raises(ProtocolAbort, match="^coarse re-correction before round 1 failed: "
+                                            "sensor 0: preamble not detected$"):
+        session.run_round([np.zeros(256), np.zeros(256)])
+
+
+def test_initialize_peak_memory_is_flat_in_sensor_count():
+    # A received copy of the init preamble is m_cfo_init samples long, and
+    # every other set-up buffer is a few thousand samples, so the peak counts
+    # how many copies are alive at once.  That count, not the copy size, is
+    # what depends on K, so a 200k-sample preamble shows the same law as the
+    # 10^6-sample default in a fifth of the time.  Holding all K copies gives
+    # a K=8 / K=2 ratio near 1.9.
+    phy = PhyConfig(m_cfo_init=200_000)
+    peaks = {}
+    for k_sensors in (2, 8):
+        links = draw_link_states(phy, ChannelConfig(), k_sensors, np.random.default_rng(18))
+        session = HandshakeSession(links, phy, snr_db=20.0, seed=11, payload_len=256)
+        tracemalloc.start()
+        try:
+            session.initialize()
+            peaks[k_sensors] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.1 * peaks[2], peaks
 
 
 def test_handshake_requires_full_occupancy():
