@@ -218,6 +218,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
+        if not isinstance(self.compensation, bool):
+            raise ConfigError(f"compensation must be true or false, got {self.compensation!r}")
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if len(self.snr_db) == 0:

@@ -239,13 +239,20 @@ def run_constellation(cfg: ExperimentConfig) -> ScenarioResult:
 # A+B aggregation test
 # ---------------------------------------------------------------------------
 
-def _run_apb_session(cfg: ExperimentConfig, links, payloads, compensation: bool):
+def _session(cfg: ExperimentConfig, links, seed: int, payload_len: int, timing,
+             compensation: bool) -> HandshakeSession:
+    """An initialized session at the config's highest SNR and ``timing``'s frame schedule."""
     session = HandshakeSession(
-        links, cfg.phy, snr_db=float(cfg.snr_db[-1]), seed=cfg.seed,
-        payload_len=cfg.apb.payload_len, compensation=compensation,
-        round_period_s=cfg.apb.round_period_s, turnaround_s=cfg.apb.turnaround_s,
+        links, cfg.phy, snr_db=float(cfg.snr_db[-1]), seed=seed, payload_len=payload_len,
+        compensation=compensation,
+        round_period_s=timing.round_period_s, turnaround_s=timing.turnaround_s,
     )
     session.initialize()
+    return session
+
+
+def _run_apb_session(cfg: ExperimentConfig, links, payloads, compensation: bool):
+    session = _session(cfg, links, cfg.seed, cfg.apb.payload_len, cfg.apb, compensation)
     results = [session.run_round(p) for p in payloads]
     return session, results
 
@@ -298,13 +305,8 @@ def train_ota(cfg: ExperimentConfig, rss, seed: int):
     tcfg = cfg.train
     links_rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     links = draw_link_states(cfg.phy, cfg.channel, tcfg.n_sensors, links_rng)
-    session = HandshakeSession(
-        links, cfg.phy, snr_db=float(cfg.snr_db[-1]), seed=seed,
-        payload_len=len(init_model(seed).w),
-        compensation=cfg.compensation,
-        round_period_s=cfg.apb.round_period_s, turnaround_s=cfg.apb.turnaround_s,
-    )
-    session.initialize()
+    # training has no timing fields of its own: it runs on the A+B frame schedule
+    session = _session(cfg, links, seed, len(init_model(seed).w), cfg.apb, cfg.compensation)
     nmses = []
 
     def over_the_air(grads):
@@ -373,22 +375,16 @@ def run_e2e(cfg: ExperimentConfig) -> ScenarioResult:
     """Short handshake exposing all per-round estimator trajectories."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 61)))
     links = draw_link_states(cfg.phy, cfg.channel, 2, rng)
-    session = HandshakeSession(
-        links, cfg.phy, snr_db=float(cfg.snr_db[-1]), seed=cfg.seed,
-        payload_len=cfg.e2e.payload_len, compensation=cfg.compensation,
-        round_period_s=cfg.e2e.round_period_s, turnaround_s=cfg.e2e.turnaround_s,
-    )
-    session.initialize()
+    session = _session(cfg, links, cfg.seed, cfg.e2e.payload_len, cfg.e2e, cfg.compensation)
     pay_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 62)))
     table = MetricTable("e2e", ("round", "sensor", "nmse_d", "phi_hat", "tau_hat_samples",
                                 "dfr_hat_hz", "dfr_mean_hz", "detect_m0", "retried"))
     for i in range(cfg.e2e.rounds):
         pays = [pay_rng.uniform(-1, 1, cfg.e2e.payload_len) for _ in range(2)]
         r = session.run_round(pays)
-        for k, s in enumerate(session.sensors):
-            d = r.diag["sensors"][k] if k < len(r.diag.get("sensors", [])) else {}
-            table.add(r.index, k, r.nmse_d, s.state.phi_hat, s.state.tau_hat / cfg.phy.t_s,
-                      s.state.dfr_hat, s.tracking.residual_hz, d.get("detect_m0", -1), r.retried)
+        for k, st in enumerate(session.states):
+            table.add(r.index, k, r.nmse_d, st.phi_hat, st.tau_hat / cfg.phy.t_s, st.dfr_hat,
+                      st.tracking.residual_hz, r.diag["sensors"][k]["detect_m0"], r.retried)
     trace = [dict(kind=e.kind, t_s=e.t_s, **e.payload) for e in session.trace]
     nm = [row[2] for row in table.rows]
     summary = {"rounds": cfg.e2e.rounds, "mean_nmse": float(np.mean(nm)),

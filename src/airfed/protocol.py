@@ -80,7 +80,11 @@ class ProtocolAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class PreEqState:
-    """Per-sensor pre-equalization estimates carried across rounds."""
+    """One sensor's estimates carried across rounds.
+
+    Each attempt builds new values from the session's ``states``; an attempt
+    replaces ``states`` only when it succeeds.
+    """
 
     phi_hat: float = 0.0
     tau_hat: float = 0.0
@@ -88,6 +92,9 @@ class PreEqState:
     h_dl_prev: FreqChannelEstimate | None = None
     t_dl_prev: float = math.nan
     t_ul_prev: float = math.nan
+    tracking: CfoEstimate = CfoEstimate()
+    lo_corr_hz: float = 0.0      # coarse LO correction, summed over corrections
+    recorrection: bool = False   # request a fresh coarse correction before the next round
 
 
 @dataclass
@@ -312,7 +319,11 @@ def _pad(stream: SampleStream, phy: PhyConfig, t_start: float) -> SampleStream:
 # ---------------------------------------------------------------------------
 
 class SensorNode:
-    """Receiver/transmitter logic of one sensor; sees only waveforms."""
+    """Receiver/transmitter logic of one sensor; sees only waveforms.
+
+    A node holds only constants: its estimates are the ``PreEqState`` values
+    passed in and returned.
+    """
 
     def __init__(self, k: int, phy: PhyConfig, ft: FtSequence, plan: PilotPlan,
                  common_pilot: OfdmSymbol, compensation: bool = True):
@@ -322,27 +333,17 @@ class SensorNode:
         self.plan = plan
         self.common_pilot = common_pilot
         self.compensation = compensation
-        self.lo_corr_hz = 0.0
-        self.reset_sync()
 
     # -- initialization ----------------------------------------------------
 
     def receive_preamble(self, rx: SampleStream) -> float:
+        """Coarse CFO estimate from the received init preamble."""
         layout = init_preamble_layout(self.phy)
         dec = detect_frame(rx, self.ft, self.phy)
         if not dec.valid:
             raise FrameDetectionError(f"sensor {self.k}: preamble not detected")
         parts = slice_frame(rx.samples, layout, dec.m0)
-        est = coarse_cfo_estimate(SampleStream(parts["cfo"], rx.t0_s), self.phy)
-        self.lo_corr_hz += est
-        return est
-
-    def reset_sync(self):
-        """Forget tracking state ahead of a fresh coarse correction."""
-        self.state = PreEqState()
-        self.tracking = CfoEstimate()
-        self.h_dl = None
-        self.recorrection = False
+        return coarse_cfo_estimate(SampleStream(parts["cfo"], rx.t0_s), self.phy)
 
     # -- downlink processing -------------------------------------------------
 
@@ -364,19 +365,12 @@ class SensorNode:
         h_now = average_estimates(ests)
         return t_stamp, h_now, raw_pilot0, dec
 
-    def process_round_dl(self, rx: SampleStream, layout: FrameLayout, t_ul_next: float,
-                         ctrl: dict | None = None) -> dict:
-        """Per-round estimate updates; returns a diagnostics dict.
-
-        Nothing is rebound before the last step that can raise, so a failed
-        call leaves this sensor's state as it was.
-        """
+    def process_round_dl(self, st: PreEqState, rx: SampleStream, layout: FrameLayout,
+                         t_ul_next: float) -> tuple[PreEqState, dict]:
+        """Per-round estimate updates: the next state and a diagnostics dict."""
         t_dl, h_now, raw_pilot0, dec = self.receive_dl_digital(rx, layout)
-        st = self.state
         diag = {"sensor": self.k, "detect_m0": dec.m0, "detect_peak": dec.peak}
-        if ctrl is not None:
-            st = replace(st, phi_hat=float(ctrl["phi0"][self.k]), tau_hat=float(ctrl["tau0"][self.k]))
-        tracking = self.tracking
+        tracking = st.tracking
         if self.compensation and st.h_dl_prev is not None:
             dt_dl = t_dl - st.t_dl_prev
             dt_ul = t_ul_next - st.t_ul_prev
@@ -393,7 +387,7 @@ class SensorNode:
                 # check against a two-period horizon: an estimate aliased by a
                 # residual already past the bound still lands above half of it
                 if needs_recorrection(tracking, 2.0 * dt_dl):
-                    self.recorrection = True
+                    st = replace(st, recorrection=True)
                     diag["recorrection"] = True
             drift_guard = self.phy.kappa * self.phy.n_fft * abs(tracking.residual_hz) * self.phy.t_s
             if drift_guard >= 0.01:
@@ -401,16 +395,13 @@ class SensorNode:
             diag.update(drift=drift, dfr_hat=dfr_hat)
         else:
             tracking = start_tracking(tracking, raw_pilot0, t_dl)
-        self.state = replace(st, h_dl_prev=h_now, t_dl_prev=t_dl, t_ul_prev=t_ul_next)
-        self.tracking = tracking
-        self.h_dl = h_now
         diag.update(t_dl=t_dl, phi_hat=st.phi_hat, tau_hat=st.tau_hat)
-        return diag
+        return replace(st, h_dl_prev=h_now, t_dl_prev=t_dl, t_ul_prev=t_ul_next, tracking=tracking), diag
 
     # -- uplink construction -------------------------------------------------
 
-    def _preeq_symbol(self, sym: OfdmSymbol) -> tuple[SampleStream, list[str]]:
-        res = pre_equalize(sym, self.state if self.compensation else PreEqState(), self.h_dl, self.phy)
+    def _preeq_symbol(self, st: PreEqState, sym: OfdmSymbol) -> tuple[SampleStream, list[str]]:
+        res = pre_equalize(sym, st if self.compensation else PreEqState(), st.h_dl_prev, self.phy)
         flags = []
         if res.cap_exceeded:
             flags.append("power_cap")
@@ -418,32 +409,32 @@ class SensorNode:
             flags.append("deep_fade")
         return tx_ofdm(res.symbol, self.phy), flags
 
-    def build_stage1_ack(self, layout: FrameLayout) -> tuple[SampleStream, list[str]]:
+    def build_stage1_ack(self, st: PreEqState, layout: FrameLayout) -> tuple[SampleStream, list[str]]:
         phy = self.phy
         parts: dict[str, np.ndarray | SampleStream] = {
             "ft": self.ft.symbols.astype(np.complex128),
             "cfo": gen_cfo_subframe(phy, phy.m_cfo_frame, phy.pilot_amp),
         }
         flags: list[str] = []
-        assert self.h_dl is not None
         for j in range(self.plan.k_sensors):
             if j == self.k:
-                tx, f = self._preeq_symbol(OfdmSymbol(self.plan.pilot_symbols[j].copy()))
+                tx, f = self._preeq_symbol(st, OfdmSymbol(self.plan.pilot_symbols[j].copy()))
                 parts[f"pilot{j}"] = tx
                 flags += f
             else:
                 parts[f"pilot{j}"] = np.zeros(phy.sym_len, dtype=np.complex128)
         return assemble_frame(layout, parts), flags
 
-    def build_ota_frame(self, layout: FrameLayout, chunks: list[np.ndarray]) -> tuple[SampleStream, list[str]]:
+    def build_ota_frame(self, st: PreEqState, layout: FrameLayout,
+                        chunks: list[np.ndarray]) -> tuple[SampleStream, list[str]]:
         phy = self.phy
         parts: dict[str, np.ndarray | SampleStream] = {"ft": self.ft.symbols.astype(np.complex128)}
         flags: list[str] = []
-        tx, f = self._preeq_symbol(self.common_pilot)
+        tx, f = self._preeq_symbol(st, self.common_pilot)
         parts["pilot"] = tx
         flags += f
         for i, chunk in enumerate(chunks):
-            tx, f = self._preeq_symbol(map_pam(chunk, phy))
+            tx, f = self._preeq_symbol(st, map_pam(chunk, phy))
             parts[f"data{i}"] = tx
             flags += f
         return assemble_frame(layout, parts), flags
@@ -483,15 +474,14 @@ class AccessPoint:
         """Per-sensor residual channel, phase intercept, and slope delay."""
         phy = self.phy
         parts = slice_frame(rx.samples, layout, self._ul_anchor())
-        phi0, tau0, h_ota = {}, {}, {}
+        phi0, tau0 = {}, {}
         for k in range(self.plan.k_sensors):
             sym = rx_ofdm(parts[f"pilot{k}"], phy)
             est = ls_channel_estimate(sym, self.plan.pilot_symbols[k], t_s=t_ul_s, kind="OTA")
-            h_ota[k] = est
             phi0[k] = estimate_phi0(est)
             tau0[k] = slope_delay(est, phy)
         diag_det = detect_frame(rx, self.ft, phy)
-        return phi0, tau0, h_ota, diag_det
+        return phi0, tau0, diag_det
 
     def receive_ota(self, rx: SampleStream, layout: FrameLayout, n_values: int, scale: float):
         """Demap the aggregate payload using the common-pilot equalizer.
@@ -538,7 +528,11 @@ class RoundResult:
 
 
 class HandshakeSession:
-    """Deterministic event loop driving the AP and sensors round by round."""
+    """Deterministic event loop driving the AP and sensors round by round.
+
+    ``states`` holds one ``PreEqState`` per sensor, or None before
+    ``initialize``.
+    """
 
     def __init__(
         self,
@@ -577,36 +571,39 @@ class HandshakeSession:
         self.n_data = int(np.ceil(payload_len / phy.n_used))
         self.dl_layout = digital_frame_layout(phy, self.k_sensors, n_data=0)
         self.ul_layout = ota_frame_layout(phy, self.n_data)
+        self.dl_frame = self.ap.build_dl_digital(self.dl_layout)
         dl_dur = (self.dl_layout.total_len + 2 * phy.guard) * phy.t_s
         ul_dur = (self.ul_layout.total_len + 2 * phy.guard) * phy.t_s
         self.ul_offset_s = dl_dur + turnaround_s
         if round_period_s < self.ul_offset_s + ul_dur + turnaround_s:
             raise ValueError("round period too short for the frame schedule")
         self.trace: list[ProtocolEvent] = []
-        self.ctrl: dict | None = None
-        self.ctrl_pending = False
+        self.states: tuple[PreEqState, ...] | None = None
         self.recorrections = 0
         self._next_dl_t = 0.0
         self.round_index = 0
-        self.initialized = False
 
     # -- plumbing ------------------------------------------------------------
 
-    def _broadcast(self, frame: SampleStream, t_s: float) -> list[SampleStream]:
-        padded = _pad(frame, self.phy, t_s)
-        return [self.air.downlink(padded, k, self.sensors[k].lo_corr_hz, len(frame))
-                for k in range(self.k_sensors)]
+    def _broadcast(self, t_s: float, states) -> list[SampleStream]:
+        padded = _pad(self.dl_frame, self.phy, t_s)
+        return [self.air.downlink(padded, k, st.lo_corr_hz, len(self.dl_frame))
+                for k, st in enumerate(states)]
 
-    def _collect_ul(self, frames: dict[int, SampleStream], t_s: float) -> SampleStream:
+    def _collect_ul(self, frames: dict[int, SampleStream], t_s: float, states) -> SampleStream:
         frame_len = max(len(f) for f in frames.values())
         padded = {k: _pad(f, self.phy, t_s) for k, f in frames.items()}
-        corrs = {k: self.sensors[k].lo_corr_hz for k in frames}
+        corrs = {k: states[k].lo_corr_hz for k in frames}
         return self.air.uplink_aggregate(padded, corrs, frame_len)
 
     # -- protocol stages -------------------------------------------------------
 
-    def _initialize_at(self, t0: float):
-        """Init preamble, stage-1 downlink and uplink, control broadcast."""
+    def _initialize_at(self, t0: float, lo_corrs: list[float]):
+        """Init preamble, stage-1 downlink and uplink, control broadcast.
+
+        The new states are built here and replace ``states`` only once stage 1
+        has succeeded.
+        """
         phy = self.phy
         t = t0
         padded = _pad(self.ap.build_preamble(), phy, t)
@@ -615,27 +612,26 @@ class HandshakeSession:
         # Each received copy is as long as the 10^6-sample preamble, so one is
         # made, consumed and dropped before the next: memory stays flat in K.
         # Receiving draws no noise, so the noise stream keeps its order.
+        states = []
         for k, node in enumerate(self.sensors):
-            est = node.receive_preamble(self.air.downlink(padded, k, node.lo_corr_hz, preamble_len))
+            est = node.receive_preamble(self.air.downlink(padded, k, lo_corrs[k], preamble_len))
+            states.append(PreEqState(lo_corr_hz=lo_corrs[k] + est))
             self.trace.append(ProtocolEvent("CtrlBroadcast", t, {"sensor": k, "coarse_hz": est}))
         t += len(padded) * phy.t_s + self.turnaround_s
 
-        dl = self.ap.build_dl_digital(self.dl_layout)
         self.trace.append(ProtocolEvent("DlTrigger", t, {"frame": "Stage1DL"}))
         t_ul = t + self.ul_offset_s
-        for k, rx in enumerate(self._broadcast(dl, t)):
-            self.sensors[k].process_round_dl(rx, self.dl_layout, t_ul_next=t_ul)
+        states = [node.process_round_dl(st, rx, self.dl_layout, t_ul)[0]
+                  for node, st, rx in zip(self.sensors, states, self._broadcast(t, states))]
 
         acks = {}
-        for k in range(self.k_sensors):
-            frame, flags = self.sensors[k].build_stage1_ack(self.dl_layout)
+        for k, (node, st) in enumerate(zip(self.sensors, states)):
+            frame, flags = node.build_stage1_ack(st, self.dl_layout)
             acks[k] = frame
             if flags:
                 self.trace.append(ProtocolEvent("UlPreEqAck", t_ul, {"sensor": k, "flags": flags}))
-        rx = self._collect_ul(acks, t_ul)
-        phi0, tau0, h_ota, det = self.ap.receive_stage1(rx, self.dl_layout, t_ul)
-        self.ctrl = {"phi0": phi0, "tau0": tau0}
-        self.ctrl_pending = True
+        rx = self._collect_ul(acks, t_ul, states)
+        phi0, tau0, det = self.ap.receive_stage1(rx, self.dl_layout, t_ul)
         self.trace.append(ProtocolEvent("UlPreEqAck", t_ul, {
             "phi0": {k: float(v) for k, v in phi0.items()},
             "tau0": {k: float(v) for k, v in tau0.items()},
@@ -643,7 +639,7 @@ class HandshakeSession:
         }))
         ul_dur = (self.ul_layout.total_len + 2 * phy.guard) * phy.t_s
         self._next_dl_t = t_ul + ul_dur + self.turnaround_s
-        return h_ota
+        self.states = tuple(replace(st, phi_hat=phi0[k], tau_hat=tau0[k]) for k, st in enumerate(states))
 
     def initialize(self):
         self.trace.append(ProtocolEvent("CtrlBroadcast", 0.0, {
@@ -653,85 +649,73 @@ class HandshakeSession:
             },
         }))
         try:
-            h_ota = self._initialize_at(0.0)
+            self._initialize_at(0.0, [0.0] * self.k_sensors)
         except (SyncLossError, FrameDetectionError) as exc:
             raise ProtocolAbort(f"session set-up failed: {exc}") from exc
-        self.initialized = True
-        return h_ota
 
     def _maybe_recorrect(self):
         """Re-run the coarse correction when a sensor requested it."""
-        if not any(s.recorrection for s in self.sensors):
-            return False
+        if not any(st.recorrection for st in self.states):
+            return
         self.trace.append(ProtocolEvent("CtrlBroadcast", self._next_dl_t,
                                         {"action": "coarse_recorrection"}))
-        for s in self.sensors:
-            s.reset_sync()
         self.recorrections += 1
         try:
-            self._initialize_at(self._next_dl_t)
+            self._initialize_at(self._next_dl_t, [st.lo_corr_hz for st in self.states])
         except (SyncLossError, FrameDetectionError) as exc:
             raise ProtocolAbort(
                 f"coarse re-correction before round {self.round_index + 1} failed: {exc}"
             ) from exc
-        return True
 
-    def _run_round_once(self, payloads: list[np.ndarray], t_dl: float, t_ul: float):
+    def _run_round_once(self, payloads: list[np.ndarray], t_dl: float, retried: bool) -> RoundResult:
+        t_ul = t_dl + self.ul_offset_s
         scale = payload_scale(payloads, self.phy.pam_bound, self.phy.clip_quantile)
         chunked = [chunk_payload(g, self.phy.n_used, scale)[0] for g in payloads]
-        dl = self.ap.build_dl_digital(self.dl_layout)
         self.trace.append(ProtocolEvent("DlOtaRequest", t_dl, {"round": self.round_index}))
-        ctrl = self.ctrl if self.ctrl_pending else None
-        self.ctrl_pending = False
+        states, sensor_diags = [], []
+        for node, st, rx in zip(self.sensors, self.states, self._broadcast(t_dl, self.states)):
+            st, d = node.process_round_dl(st, rx, self.dl_layout, t_ul)
+            states.append(st)
+            sensor_diags.append(d)
         flags: list[str] = []
-        diag: dict = {"sensors": []}
-        for k, rx in enumerate(self._broadcast(dl, t_dl)):
-            d = self.sensors[k].process_round_dl(rx, self.dl_layout, t_ul_next=t_ul, ctrl=ctrl)
-            diag["sensors"].append(d)
         uls = {}
-        for k in range(self.k_sensors):
-            frame, f = self.sensors[k].build_ota_frame(self.ul_layout, chunked[k])
+        for k, (node, st) in enumerate(zip(self.sensors, states)):
+            frame, f = node.build_ota_frame(st, self.ul_layout, chunked[k])
             uls[k] = frame
             flags += [f"s{k}:{x}" for x in f]
         if any("power_cap" in f for f in flags):
             raise SyncLossError("transmit power cap exceeded")
-        rx = self._collect_ul(uls, t_ul)
+        rx = self._collect_ul(uls, t_ul, states)
         agg, ap_diag = self.ap.receive_ota(rx, self.ul_layout, self.payload_len, scale)
-        diag.update(ap_diag)
         true_sum = np.sum(payloads, axis=0)
         denom = float(np.sum(true_sum**2))
         nmse = float(np.sum((agg - true_sum) ** 2) / denom) if denom > 0 else 0.0
         estimates = {
             f"sensor{k}": {
-                "phi_hat": float(self.sensors[k].state.phi_hat),
-                "tau_hat_samples": float(self.sensors[k].state.tau_hat / self.phy.t_s),
-                "dfr_hat_hz": float(self.sensors[k].state.dfr_hat),
-                "dfr_mean_hz": float(self.sensors[k].tracking.residual_hz),
+                "phi_hat": float(st.phi_hat),
+                "tau_hat_samples": float(st.tau_hat / self.phy.t_s),
+                "dfr_hat_hz": float(st.dfr_hat),
+                "dfr_mean_hz": float(st.tracking.residual_hz),
             }
-            for k in range(self.k_sensors)
+            for k, st in enumerate(states)
         }
         self.trace.append(ProtocolEvent("UlOtaFrame", t_ul, {
             "round": self.round_index, "nmse_d": nmse, "flags": flags,
             "estimates": estimates, **ap_diag,
         }))
-        return agg, nmse, flags, diag
-
-    def _snapshot_sensors(self):
-        """References to the round state; its values are never mutated."""
-        return [(s.state, s.tracking, s.h_dl, s.recorrection) for s in self.sensors], self.ctrl_pending
-
-    def _restore_sensors(self, snap):
-        sensors, self.ctrl_pending = snap
-        for s, (state, tracking, h_dl, recorrection) in zip(self.sensors, sensors):
-            s.state, s.tracking, s.h_dl, s.recorrection = state, tracking, h_dl, recorrection
+        self.states = tuple(states)
+        diag = {"sensors": sensor_diags, **ap_diag}
+        return RoundResult(self.round_index, retried, nmse, agg, flags, diag)
 
     def run_round(self, payloads: list[np.ndarray]) -> RoundResult:
         """One aggregation round with a single retry on failure.
 
-        A failed attempt must not leak half-updated estimates into the
-        retry, so sensor state is restored before re-running.
+        Each attempt builds new sensor states from ``states``, and an attempt
+        replaces ``states`` only when it succeeds: the retry starts from the
+        estimates held before the round, and an aborted round leaves them as
+        they were.
         """
-        if not self.initialized:
+        if self.states is None:
             raise RuntimeError("session not initialized")
         if len(payloads) != self.k_sensors:
             raise ValueError("one payload vector per sensor required")
@@ -742,21 +726,14 @@ class HandshakeSession:
         self.round_index += 1
         base = self._next_dl_t
         self._next_dl_t = base + self.round_period_s
-        snap = self._snapshot_sensors()
         try:
-            agg, nmse, flags, diag = self._run_round_once(payloads, base, base + self.ul_offset_s)
-            return RoundResult(self.round_index, False, nmse, agg, flags, diag)
+            return self._run_round_once(payloads, base, retried=False)
         except (SyncLossError, FrameDetectionError) as first:
-            self._restore_sensors(snap)
             self.trace.append(ProtocolEvent("DlOtaRequest", base, {
                 "round": self.round_index, "retry": str(first)}))
-            retry_dl = base + self.round_period_s / 2.0
             try:
-                agg, nmse, flags, diag = self._run_round_once(
-                    payloads, retry_dl, retry_dl + self.ul_offset_s)
-                return RoundResult(self.round_index, True, nmse, agg, flags, diag)
+                return self._run_round_once(payloads, base + self.round_period_s / 2.0, retried=True)
             except (SyncLossError, FrameDetectionError) as second:
-                self._restore_sensors(snap)
                 raise ProtocolAbort(
                     f"round {self.round_index} failed twice: {first}; then {second}"
                 ) from second

@@ -232,6 +232,23 @@ def test_cli_setup_failure_exit_code(tmp_path, capsys):
         "protocol abort: session set-up failed: sensor 0: preamble not detected\n")
 
 
+@pytest.mark.parametrize("fields, args, message", [
+    ({"compensation": "no"}, [], "compensation must be true or false, got 'no'"),
+    ({"seed": -1}, [], "seed must be >= 0, got -1"),
+    ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ({"seed": 1.0}, [], "seed must be an integer, got 1.0"),
+    ({"trials": 1.5}, [], "trials must be an integer, got 1.5"),
+    ({"trials": True}, [], "trials must be an integer, got True"),
+])
+def test_cli_rejects_bad_top_level_fields(tmp_path, capsys, fields, args, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "cfo", "out_dir": str(tmp_path / "out"), **fields}))
+    rc = cli_main(["cfo", "--config", str(cfg_path), *args])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     rc = subprocess.run(
         [sys.executable, "-m", "airfed.cli", "frame-timing", "--trials", "5",

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ def test_handshake_stage1_estimates_match_ground_truth():
     session = HandshakeSession(links, PHY, snr_db=math.inf, seed=3, payload_len=256)
     session.initialize()
     for k, link in enumerate(links):
-        tau_est = session.ctrl["tau0"][k]
+        tau_est = session.states[k].tau_hat
         assert tau_est == pytest.approx(link.to_ul_s, abs=1e-9 * TS)
 
 
@@ -328,7 +329,7 @@ def test_handshake_timer_bookkeeping():
     pr = np.random.default_rng(13)
     for _ in range(3):
         session.run_round([pr.uniform(-1, 1, 256) for _ in range(2)])
-        stamps.append(session.sensors[0].state.t_dl_prev)
+        stamps.append(session.states[0].t_dl_prev)
     # per-round downlink stamps advance by exactly the configured period
     assert stamps[1] - stamps[0] == pytest.approx(1e-3, abs=1e-12)
     assert stamps[2] - stamps[1] == pytest.approx(1e-3, abs=1e-12)
@@ -352,13 +353,42 @@ def test_retry_discards_the_failed_attempt():
         return rx
 
     session.air.downlink = drop_sensor1_once
-    p_before = session.sensors[0].tracking.p_count
+    p_before = session.states[0].tracking.p_count
     pr = np.random.default_rng(17)
     pays = [pr.uniform(-1, 1, 256) for _ in range(2)]
     r = session.run_round(pays)
     assert dropped and r.retried
     assert r.nmse_d < 1e-18
-    assert session.sensors[0].tracking.p_count == p_before + 1
+    assert session.states[0].tracking.p_count == p_before + 1
+
+
+def test_aborted_round_leaves_every_estimate_as_it_was():
+    # sensor 1 misses the first round's downlink on both attempts, each time
+    # after sensor 0 has updated; the abort must keep the set-up's states,
+    # and the next round must run from them as if round 1 never happened
+    rng = np.random.default_rng(16)
+    links = draw_link_states(PHY, ChannelConfig(), 2, rng)
+    session = HandshakeSession(links, PHY, snr_db=math.inf, seed=10, payload_len=256)
+    session.initialize()
+    downlink = session.air.downlink
+
+    def drop_sensor1(tx, k, lo_corr_hz, frame_len):
+        rx = downlink(tx, k, lo_corr_hz, frame_len)
+        if k == 1:
+            return SampleStream(np.zeros(len(rx), dtype=complex), rx.t0_s)
+        return rx
+
+    session.air.downlink = drop_sensor1
+    before = session.states
+    pr = np.random.default_rng(17)
+    missed = "sensor 1: downlink frame not detected"
+    with pytest.raises(ProtocolAbort, match=f"^round 1 failed twice: {missed}; then {missed}$"):
+        session.run_round([pr.uniform(-1, 1, 256) for _ in range(2)])
+    assert session.states is before
+    del session.air.downlink
+    r = session.run_round([pr.uniform(-1, 1, 256) for _ in range(2)])
+    assert r.index == 2 and not r.retried
+    assert r.nmse_d < 1e-18
 
 
 def test_handshake_recorrection_recovers_large_residual():
@@ -370,8 +400,8 @@ def test_handshake_recorrection_recovers_large_residual():
         link.cfo_hz = 600.0
     session = HandshakeSession(links, PHY, snr_db=math.inf, seed=8, payload_len=256)
     session.initialize()
-    for s in session.sensors:
-        s.lo_corr_hz = 0.0  # undo the coarse correction: residual 600 Hz
+    # undo the coarse correction: residual 600 Hz
+    session.states = tuple(replace(st, lo_corr_hz=0.0) for st in session.states)
     pr = np.random.default_rng(15)
     results = []
     for _ in range(4):
@@ -390,7 +420,7 @@ def test_failed_recorrection_aborts_naming_stage_and_sensor():
     session.initialize()
     session.air.downlink = lambda tx, k, lo_corr_hz, frame_len: SampleStream(
         np.zeros(len(tx), dtype=complex), tx.t0_s)
-    session.sensors[1].recorrection = True
+    session.states = (session.states[0], replace(session.states[1], recorrection=True))
     with pytest.raises(ProtocolAbort, match="^coarse re-correction before round 1 failed: "
                                             "sensor 0: preamble not detected$"):
         session.run_round([np.zeros(256), np.zeros(256)])
