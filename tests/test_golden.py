@@ -45,6 +45,10 @@ CONFIGS = {
     "train": ExperimentConfig(
         scenario="train", seed=3, trials=1, snr_db=(20.0,), phy=TINY_PHY,
         train=TrainConfig(rounds=8, local_n=100, batch_size=50, heatmap_n=21)),
+    # five sensors: the downlink estimate averages a K that is not a power of two
+    "train-k5": ExperimentConfig(
+        scenario="train", seed=3, trials=1, snr_db=(20.0,), phy=TINY_PHY,
+        train=TrainConfig(n_sensors=5, rounds=6, local_n=100, batch_size=50, heatmap_n=21)),
     "e2e": ExperimentConfig(
         scenario="e2e", seed=3, trials=1, snr_db=(20.0,), phy=TINY_PHY,
         e2e=E2eParams(rounds=5, payload_len=300)),
@@ -80,6 +84,13 @@ GOLDEN = {
         'train.csv': '438eb85f89b3c21eeaf41aeb444529c6a5a408d4830967f4a02ed1d25a0dfc03',
         'train_dataset.csv': 'a8283c37e2d9c6479839634cfc8360138865c7ae78bcab3ada67c5b607b4d87b',
         'train_heatmap.csv': '7521b1b86ca9422ca21ddc43c796e46eddd2ca6f7bb456864bfa21166a7f535d',
+    },
+    'train-k5': {
+        'model.json': 'fb75962e9482ec601dfab8ce907b630cf691ffaa707185718b1c4e578403abd2',
+        'trace.jsonl': '0c223e76d4ed25ccb76b4668f638d3912eda90792d830fb38687c20e9a1d18ee',
+        'train.csv': '5a91f5006a4870d68ed0b7fa3858dfcf68f25aae95e40c9802af9b4e25ce2dba',
+        'train_dataset.csv': '657efe9a8986d991b997c68a5307e2ebd7be0932ac43c09561f5edee45485131',
+        'train_heatmap.csv': 'a6e537e7d98b2ce8b1ac42004e4aaf228ac55fc286f1a3c23ea27823cdc87bd3',
     },
     'e2e': {
         'e2e.csv': '1254f9bae560f83fa985250fb7259fea25c5172b5734799906baa064ed4161f5',
