@@ -228,8 +228,13 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db grid must be nonempty")
+        for v in self.snr_db:  # +inf means noiseless
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v) or v == -math.inf:
+                raise ConfigError(f"snr_db entries must be real numbers, finite or +inf, got {v!r}")
 
 
 _SECTION_TYPES = {

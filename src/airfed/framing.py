@@ -180,11 +180,30 @@ def assemble_frame(layout: FrameLayout, parts: dict) -> SampleStream:
     return SampleStream(np.concatenate(chunks))
 
 
-def slice_frame(samples: np.ndarray, layout: FrameLayout, start: int) -> dict:
-    """Carve a received buffer back into named sections anchored at start."""
+def _check_fits(samples: np.ndarray, layout: FrameLayout, start: int) -> None:
     if start < 0 or start + layout.total_len > len(samples):
         raise ValueError("frame does not fit in the buffer at the given anchor")
+
+
+def slice_frame(samples: np.ndarray, layout: FrameLayout, start: int) -> dict:
+    """Carve a received buffer back into named sections anchored at start."""
+    _check_fits(samples, layout, start)
     return {
         sec.name: samples[start + sec.offset : start + sec.offset + sec.length]
         for sec in layout.sections
     }
+
+
+def section_rows(samples: np.ndarray, layout: FrameLayout, start: int, first: str, rows: int) -> np.ndarray:
+    """``rows`` sections from ``first`` on, as one (rows, length) view of the buffer.
+
+    The sections must be back to back and all as long as ``first``.
+    """
+    _check_fits(samples, layout, start)
+    i = layout.names().index(first)
+    secs = layout.sections[i : i + rows]
+    length = secs[0].length
+    if len(secs) != rows or any(sec.length != length for sec in secs):
+        raise ValueError(f"no {rows} sections of length {length} from {first!r} on")
+    lo = start + secs[0].offset
+    return samples[lo : lo + rows * length].reshape(rows, length)

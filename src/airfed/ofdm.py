@@ -4,7 +4,8 @@ Subcarrier vectors use signed index order n = -N/2 .. N/2-1 (array position
 n + N/2).  Modulation is the inverse DFT with a 1/N factor plus a cyclic
 prefix; demodulation strips the prefix and applies the unscaled forward DFT,
 so any channel with delay spread inside the prefix acts as a per-subcarrier
-complex gain.
+complex gain.  A frame's symbols go through one DFT call as a (rows, N)
+stack, one symbol per row; a single symbol is the one-row case.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ Modulation = str  # one of "QAM4", "QAM16", "PAM", "Raw"
 
 @dataclass
 class OfdmSymbol:
+    """Subcarrier values of one symbol, or of a (rows, N) stack of symbols."""
+
     freq: np.ndarray
     modulation: Modulation = "Raw"
 
     def __post_init__(self):
         self.freq = np.asarray(self.freq, dtype=np.complex128)
-        if self.freq.ndim != 1:
-            raise ValueError("subcarrier vector must be one-dimensional")
+        if self.freq.ndim not in (1, 2):
+            raise ValueError("subcarrier values must be one vector or a (rows, N) stack")
         if not np.all(np.isfinite(self.freq)):
             raise ValueError("subcarrier vector contains non-finite values")
 
@@ -58,7 +61,7 @@ class PilotPlan:
     """Time-division orthogonal pilots: sensor k owns OFDM-symbol slot k."""
 
     k_sensors: int
-    pilot_symbols: tuple[np.ndarray, ...]  # known subcarrier values per slot
+    pilot_symbols: np.ndarray  # (k_sensors, N) known subcarrier values, row k for slot k
     seed: int
 
 
@@ -69,7 +72,9 @@ def make_pilot_plan(phy: PhyConfig, k_sensors: int, seed: int) -> PilotPlan:
     for _ in range(k_sensors):
         bits = rng.integers(0, 2, size=2 * phy.n_used)
         symbols.append(map_qam(bits, 4, phy).freq * phy.dl_pilot_amp)
-    return PilotPlan(k_sensors=k_sensors, pilot_symbols=tuple(symbols), seed=seed)
+    pilots = np.array(symbols)
+    pilots.flags.writeable = False  # shared by every node of a session
+    return PilotPlan(k_sensors=k_sensors, pilot_symbols=pilots, seed=seed)
 
 
 def make_common_pilot(phy: PhyConfig, seed: int) -> OfdmSymbol:
@@ -86,20 +91,20 @@ def make_common_pilot(phy: PhyConfig, seed: int) -> OfdmSymbol:
 # ---------------------------------------------------------------------------
 
 def ofdm_modulate(sym: OfdmSymbol, phy: PhyConfig) -> SampleStream:
-    """Inverse DFT plus cyclic prefix; output length N + L."""
-    if len(sym.freq) != phy.n_fft:
-        raise ValueError(f"expected {phy.n_fft} subcarriers, got {len(sym.freq)}")
-    body = np.fft.ifft(np.fft.ifftshift(sym.freq))
-    return SampleStream(np.concatenate([body[-phy.cp_len:], body]))
+    """Inverse DFT plus cyclic prefix per symbol; a stack's rows come out back to back."""
+    if sym.freq.shape[-1] != phy.n_fft:
+        raise ValueError(f"expected {phy.n_fft} subcarriers, got {sym.freq.shape[-1]}")
+    body = np.fft.ifft(np.fft.ifftshift(sym.freq, axes=-1))
+    return SampleStream(np.concatenate([body[..., -phy.cp_len:], body], axis=-1).ravel())
 
 
 def ofdm_demodulate(r, phy: PhyConfig) -> OfdmSymbol:
-    """Strip the cyclic prefix and take the forward DFT of the N-sample body."""
+    """Strip the cyclic prefix and take the forward DFT of the N-sample body of each row."""
     samples = r.samples if isinstance(r, SampleStream) else np.asarray(r, dtype=np.complex128)
-    if len(samples) < phy.sym_len:
-        raise ValueError(f"need at least {phy.sym_len} samples, got {len(samples)}")
-    body = samples[phy.cp_len : phy.cp_len + phy.n_fft]
-    return OfdmSymbol(freq=np.fft.fftshift(np.fft.fft(body)))
+    if samples.shape[-1] < phy.sym_len:
+        raise ValueError(f"need at least {phy.sym_len} samples, got {samples.shape[-1]}")
+    body = samples[..., phy.cp_len : phy.cp_len + phy.n_fft]
+    return OfdmSymbol(freq=np.fft.fftshift(np.fft.fft(body), axes=-1))
 
 
 def payload_fraction(phy: PhyConfig) -> float:
@@ -183,19 +188,19 @@ def qam_symbol_error_count(tx: OfdmSymbol, rx: OfdmSymbol, order: int) -> int:
 # ---------------------------------------------------------------------------
 
 def map_pam(values, phy: PhyConfig) -> OfdmSymbol:
-    """Place real values in [-1, 1] as amplitudes v * pam_amp on usable carriers."""
-    values = np.asarray(values, dtype=float).ravel()
-    if len(values) != phy.n_used:
-        raise ValueError(f"need exactly {phy.n_used} values, got {len(values)}")
+    """Place real values in [-1, 1] as amplitudes v * pam_amp on usable carriers, row by row."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != phy.n_used:
+        raise ValueError(f"need exactly {phy.n_used} values per symbol, got shape {values.shape}")
     if np.max(np.abs(values)) > 1.0 + 1e-12:
         raise ValueError("PAM values must be pre-scaled to [-1, 1]")
-    freq = np.zeros(phy.n_fft, dtype=np.complex128)
-    freq[phy.used_carriers()] = values * phy.pam_amp
+    freq = np.zeros(values.shape[:-1] + (phy.n_fft,), dtype=np.complex128)
+    freq[..., phy.used_carriers()] = values * phy.pam_amp
     return OfdmSymbol(freq=freq, modulation="PAM")
 
 
 def demap_pam(sym: OfdmSymbol, phy: PhyConfig) -> np.ndarray:
-    return sym.freq.real[phy.used_carriers()] / phy.pam_amp
+    return sym.freq.real[..., phy.used_carriers()] / phy.pam_amp
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +238,13 @@ def average_estimates(estimates: list[FreqChannelEstimate]) -> FreqChannelEstima
 
 
 def equalize(data: OfdmSymbol, est: FreqChannelEstimate, phy: PhyConfig):
-    """Divide out the channel estimate.
+    """Divide out the channel estimate from a symbol or from each row of a stack.
 
     Returns (equalized symbol, reliable mask).  Carriers whose estimate
     magnitude sits below the floor are divided by the floored magnitude and
     reported unreliable rather than blowing up.
     """
-    if len(est.h) != len(data.freq):
+    if len(est.h) != data.freq.shape[-1]:
         raise ValueError("estimate length mismatch")
     mag = np.abs(est.h)
     reliable = est.valid & (mag >= phy.eq_floor)

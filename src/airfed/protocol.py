@@ -21,6 +21,7 @@ that every per-sensor misalignment lands on the cyclic-prefix side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,6 +47,7 @@ from .framing import (
     gen_ft,
     init_preamble_layout,
     ota_frame_layout,
+    section_rows,
     slice_frame,
 )
 from .fl import chunk_payload, dechunk_payload, payload_scale
@@ -53,7 +55,6 @@ from .ofdm import (
     FreqChannelEstimate,
     OfdmSymbol,
     PilotPlan,
-    average_estimates,
     demap_pam,
     equalize,
     ls_channel_estimate,
@@ -125,6 +126,7 @@ def tx_ofdm(sym: OfdmSymbol, phy: PhyConfig) -> SampleStream:
 
 
 def rx_ofdm(section: np.ndarray, phy: PhyConfig) -> OfdmSymbol:
+    """Undo the transmit gain and demodulate one symbol, or a (rows, N + L) stack."""
     return ofdm_demodulate(np.asarray(section) / np.sqrt(phy.n_fft), phy)
 
 
@@ -177,10 +179,17 @@ def estimate_residual_cfo_sensor(
         raise ValueError("downlink period must be positive")
     now = h_dl_now.h
     if drift_samples:
-        n = subcarrier_indices(phy.n_fft)
-        now = now * np.exp(-2j * np.pi * n * drift_samples / phy.n_fft)
+        now = now * _drift_ramp(phy.n_fft, drift_samples)
     acc = np.sum(np.conj(h_dl_prev.h) * now)
     return float(np.angle(acc) / (2.0 * np.pi * dt_dl_s))
+
+
+@functools.lru_cache(maxsize=16)
+def _drift_ramp(n_fft: int, d: int) -> np.ndarray:
+    """The per-carrier ramp exp(-2 pi j n d / N) of a d-sample drift; shared, so read-only."""
+    ramp = np.exp(-2j * np.pi * subcarrier_indices(n_fft) * d / n_fft)
+    ramp.flags.writeable = False
+    return ramp
 
 
 def integer_sample_drift(
@@ -197,8 +206,7 @@ def integer_sample_drift(
     channel is comparable to half a sample per round.
     """
     ratio = h_dl_now.h * np.conj(h_dl_prev.h)
-    n = subcarrier_indices(phy.n_fft)
-    scores = [np.abs(np.sum(ratio * np.exp(-2j * np.pi * n * d / phy.n_fft))) for d in candidates]
+    scores = [np.abs(np.sum(ratio * _drift_ramp(phy.n_fft, d))) for d in candidates]
     return int(candidates[int(np.argmax(scores))])
 
 
@@ -223,15 +231,20 @@ def update_tau(tau_hat: float, drift: int, phy: PhyConfig) -> float:
 @dataclass
 class PreEqResult:
     symbol: OfdmSymbol
-    flagged: np.ndarray          # carriers at the division floor
-    power_amplification: float   # mean output power / mean input power
-    cap_exceeded: bool
+    flagged: np.ndarray              # carriers at the division floor
+    power_amplification: np.ndarray  # per row: mean output power / mean input power
+    cap_exceeded: np.ndarray         # per row
+
+    def flags(self) -> list[str]:
+        """Each row's flags in row order: "power_cap" first, then "deep_fade"."""
+        fade = ["deep_fade"] if np.any(self.flagged) else []
+        return [f for cap in np.atleast_1d(self.cap_exceeded) for f in ["power_cap"] * bool(cap) + fade]
 
 
 def pre_equalize(
     x: OfdmSymbol, state: PreEqState, h_dl_now: FreqChannelEstimate, phy: PhyConfig
 ) -> PreEqResult:
-    """Invert the predicted uplink effective channel ahead of transmission."""
+    """Invert the predicted uplink effective channel ahead of transmission, row by row."""
     n = subcarrier_indices(phy.n_fft)
     ramp = np.exp(1j * (state.phi_hat + 2.0 * np.pi * n * phy.fs_hz * state.tau_hat / phy.n_fft))
     denom = ramp * h_dl_now.h
@@ -242,8 +255,8 @@ def pre_equalize(
                              denom[flagged] * (phy.eq_floor / mag[flagged]),
                              phy.eq_floor)
     out = x.freq / safe
-    p_in = float(np.mean(np.abs(x.freq) ** 2))
-    amp = float(np.mean(np.abs(out) ** 2) / p_in) if p_in > 0 else 0.0
+    p_in = np.mean(np.abs(x.freq) ** 2, axis=-1)
+    amp = np.divide(np.mean(np.abs(out) ** 2, axis=-1), p_in, out=np.zeros_like(p_in), where=p_in > 0)
     return PreEqResult(
         symbol=OfdmSymbol(out, x.modulation),
         flagged=flagged,
@@ -354,16 +367,12 @@ class SensorNode:
         if not dec.valid:
             raise FrameDetectionError(f"sensor {self.k}: downlink frame not detected")
         t_stamp = rx.t0_s + dec.m0 * phy.t_s
-        parts = slice_frame(rx.samples, layout, dec.m0 - phy.rx_backoff)
-        ests = []
-        raw_pilot0 = None
-        for j in range(self.plan.k_sensors):
-            sym = rx_ofdm(parts[f"pilot{j}"], phy)
-            if j == 0:
-                raw_pilot0 = sym
-            ests.append(ls_channel_estimate(sym, self.plan.pilot_symbols[j], t_s=t_stamp, kind="DL"))
-        h_now = average_estimates(ests)
-        return t_stamp, h_now, raw_pilot0, dec
+        rows = section_rows(rx.samples, layout, dec.m0 - phy.rx_backoff, "pilot0", self.plan.k_sensors)
+        pilots = rx_ofdm(rows, phy).freq
+        # per-pilot least squares, then the mean over the K estimates
+        h_now = FreqChannelEstimate(h=np.mean(pilots / self.plan.pilot_symbols, axis=0),
+                                    t_est_s=t_stamp, kind="DL")
+        return t_stamp, h_now, OfdmSymbol(pilots[0]), dec
 
     def process_round_dl(self, st: PreEqState, rx: SampleStream, layout: FrameLayout,
                          t_ul_next: float) -> tuple[PreEqState, dict]:
@@ -400,14 +409,11 @@ class SensorNode:
 
     # -- uplink construction -------------------------------------------------
 
-    def _preeq_symbol(self, st: PreEqState, sym: OfdmSymbol) -> tuple[SampleStream, list[str]]:
-        res = pre_equalize(sym, st if self.compensation else PreEqState(), st.h_dl_prev, self.phy)
-        flags = []
-        if res.cap_exceeded:
-            flags.append("power_cap")
-        if np.any(res.flagged):
-            flags.append("deep_fade")
-        return tx_ofdm(res.symbol, self.phy), flags
+    def _preeq_rows(self, st: PreEqState, stack: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """Pre-equalize a (rows, N) stack and modulate it: (rows, N + L) samples and the flags."""
+        res = pre_equalize(OfdmSymbol(stack), st if self.compensation else PreEqState(),
+                           st.h_dl_prev, self.phy)
+        return tx_ofdm(res.symbol, self.phy).samples.reshape(len(stack), -1), res.flags()
 
     def build_stage1_ack(self, st: PreEqState, layout: FrameLayout) -> tuple[SampleStream, list[str]]:
         phy = self.phy
@@ -415,28 +421,19 @@ class SensorNode:
             "ft": self.ft.symbols.astype(np.complex128),
             "cfo": gen_cfo_subframe(phy, phy.m_cfo_frame, phy.pilot_amp),
         }
-        flags: list[str] = []
-        for j in range(self.plan.k_sensors):
-            if j == self.k:
-                tx, f = self._preeq_symbol(st, OfdmSymbol(self.plan.pilot_symbols[j].copy()))
-                parts[f"pilot{j}"] = tx
-                flags += f
-            else:
-                parts[f"pilot{j}"] = np.zeros(phy.sym_len, dtype=np.complex128)
+        silent = np.zeros(phy.sym_len, dtype=np.complex128)
+        parts.update({f"pilot{j}": silent for j in range(self.plan.k_sensors)})
+        rows, flags = self._preeq_rows(st, self.plan.pilot_symbols[self.k : self.k + 1])
+        parts[f"pilot{self.k}"] = rows[0]
         return assemble_frame(layout, parts), flags
 
     def build_ota_frame(self, st: PreEqState, layout: FrameLayout,
                         chunks: list[np.ndarray]) -> tuple[SampleStream, list[str]]:
-        phy = self.phy
-        parts: dict[str, np.ndarray | SampleStream] = {"ft": self.ft.symbols.astype(np.complex128)}
-        flags: list[str] = []
-        tx, f = self._preeq_symbol(st, self.common_pilot)
-        parts["pilot"] = tx
-        flags += f
-        for i, chunk in enumerate(chunks):
-            tx, f = self._preeq_symbol(st, map_pam(chunk, phy))
-            parts[f"data{i}"] = tx
-            flags += f
+        """The uplink frame: the common pilot, then one PAM symbol per payload chunk."""
+        stack = np.concatenate([self.common_pilot.freq[None], map_pam(chunks, self.phy).freq])
+        rows, flags = self._preeq_rows(st, stack)
+        parts = {"ft": self.ft.symbols.astype(np.complex128), "pilot": rows[0]}
+        parts.update({f"data{i}": row for i, row in enumerate(rows[1:])})
         return assemble_frame(layout, parts), flags
 
 
@@ -463,8 +460,8 @@ class AccessPoint:
             "ft": self.ft.symbols.astype(np.complex128),
             "cfo": gen_cfo_subframe(phy, phy.m_cfo_frame, phy.pilot_amp),
         }
-        for j in range(self.plan.k_sensors):
-            parts[f"pilot{j}"] = tx_ofdm(OfdmSymbol(self.plan.pilot_symbols[j].copy()), phy)
+        rows = tx_ofdm(OfdmSymbol(self.plan.pilot_symbols), phy).samples.reshape(self.plan.k_sensors, -1)
+        parts.update({f"pilot{j}": row for j, row in enumerate(rows)})
         return assemble_frame(layout, parts)
 
     def _ul_anchor(self) -> int:
@@ -473,11 +470,11 @@ class AccessPoint:
     def receive_stage1(self, rx: SampleStream, layout: FrameLayout, t_ul_s: float):
         """Per-sensor residual channel, phase intercept, and slope delay."""
         phy = self.phy
-        parts = slice_frame(rx.samples, layout, self._ul_anchor())
+        rows = section_rows(rx.samples, layout, self._ul_anchor(), "pilot0", self.plan.k_sensors)
+        h = rx_ofdm(rows, phy).freq / self.plan.pilot_symbols
         phi0, tau0 = {}, {}
         for k in range(self.plan.k_sensors):
-            sym = rx_ofdm(parts[f"pilot{k}"], phy)
-            est = ls_channel_estimate(sym, self.plan.pilot_symbols[k], t_s=t_ul_s, kind="OTA")
+            est = FreqChannelEstimate(h=h[k], t_est_s=t_ul_s, kind="OTA")
             phi0[k] = estimate_phi0(est)
             tau0[k] = slope_delay(est, phy)
         diag_det = detect_frame(rx, self.ft, phy)
@@ -493,21 +490,18 @@ class AccessPoint:
         the real-axis payload read.
         """
         phy = self.phy
-        parts = slice_frame(rx.samples, layout, self._ul_anchor())
+        n_data = sum(s.name.startswith("data") for s in layout.sections)
+        syms = rx_ofdm(section_rows(rx.samples, layout, self._ul_anchor(), "pilot", 1 + n_data), phy).freq
         known = self.plan.k_sensors * self.common_pilot.freq
-        h_common = ls_channel_estimate(rx_ofdm(parts["pilot"], phy), known, kind="OTA")
+        h_common = ls_channel_estimate(OfdmSymbol(syms[0]), known, kind="OTA")
         mag = np.abs(h_common.h)
         h_phase = FreqChannelEstimate(
             h=np.where(mag > phy.eq_floor, h_common.h / np.maximum(mag, phy.eq_floor), 1.0),
             t_est_s=h_common.t_est_s, kind="OTA", valid=h_common.valid,
         )
-        chunks = []
-        unreliable = 0
-        for i in range(len([s for s in layout.sections if s.name.startswith("data")])):
-            eq, reliable = equalize(rx_ofdm(parts[f"data{i}"], phy), h_phase, phy)
-            unreliable += int(np.sum(~reliable))
-            chunks.append(demap_pam(eq, phy))
-        agg = dechunk_payload(chunks, n_values, scale)
+        eq, reliable = equalize(OfdmSymbol(syms[1:]), h_phase, phy)
+        unreliable = n_data * int(np.sum(~reliable))
+        agg = dechunk_payload(demap_pam(eq, phy), n_values, scale)
         diag_det = detect_frame(rx, self.ft, phy)
         return agg, {"unreliable_carriers": unreliable, "ul_detect_valid": diag_det.valid,
                      "ul_detect_m0": diag_det.m0, "common_gain": float(np.mean(mag))}
@@ -561,6 +555,8 @@ class HandshakeSession:
         ft_seed, pilot_seed, common_seed = (int(ref_rng.integers(2**31)) for _ in range(3))
         self.ft = gen_ft(phy, ft_seed)
         self.plan = make_pilot_plan(phy, self.k_sensors, pilot_seed)
+        if np.any(self.plan.pilot_symbols == 0.0):  # the LS divides by every pilot value
+            raise ValueError("known pilot has zero-amplitude carriers marked as used")
         self.common = make_common_pilot(phy, common_seed)
         self.air = AirInterface(phy, links, snr_db, self.rng)
         self.ap = AccessPoint(phy, self.ft, self.plan, self.common)

@@ -239,6 +239,11 @@ def test_cli_setup_failure_exit_code(tmp_path, capsys):
     ({"seed": 1.0}, [], "seed must be an integer, got 1.0"),
     ({"trials": 1.5}, [], "trials must be an integer, got 1.5"),
     ({"trials": True}, [], "trials must be an integer, got True"),
+    ({"out_dir": 5}, [], "out_dir must be a non-empty string, got 5"),
+    ({"snr_db": [True]}, [], "snr_db entries must be real numbers, finite or +inf, got True"),
+    ({"snr_db": ["a"]}, [], "snr_db entries must be real numbers, finite or +inf, got 'a'"),
+    ({}, ["--snr-db", "nan"], "snr_db entries must be real numbers, finite or +inf, got nan"),
+    ({}, ["--snr-db=-inf"], "snr_db entries must be real numbers, finite or +inf, got -inf"),
 ])
 def test_cli_rejects_bad_top_level_fields(tmp_path, capsys, fields, args, message):
     cfg_path = tmp_path / "cfg.json"

@@ -19,7 +19,8 @@ from airfed.channel import (
     unit_profile,
 )
 from airfed.config import ChannelConfig, PhyConfig
-from airfed.ofdm import FreqChannelEstimate, OfdmSymbol
+from airfed.framing import slice_frame
+from airfed.ofdm import FreqChannelEstimate, OfdmSymbol, average_estimates, ls_channel_estimate
 from airfed.protocol import (
     HandshakeSession,
     PreEqState,
@@ -30,7 +31,9 @@ from airfed.protocol import (
     integer_sample_drift,
     pre_equalize,
     run_handshake,
+    rx_ofdm,
     slope_delay,
+    tx_ofdm,
     update_phi,
     update_tau,
     wrap_pi,
@@ -257,6 +260,46 @@ def test_pre_equalize_flags_deep_fade_and_power_cap():
     res2 = pre_equalize(OfdmSymbol(np.ones(N, dtype=complex)), PreEqState(),
                         FreqChannelEstimate(h=h2), PHY)
     assert res2.cap_exceeded
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_stacked_pre_equalize_equals_per_symbol():
+    rng = np.random.default_rng(7)
+    h = np.exp(1j * rng.uniform(-np.pi, np.pi, N))
+    h[3] = 1e-9                 # a deep fade: every row is flagged
+    stack = rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N))
+    stack[1, 3] = 0.0           # row 1 leaves the faded carrier empty, so it stays under the cap
+    stack[2] = 0.0              # a silent row has no amplification
+    st_, h_dl = PreEqState(phi_hat=0.7, tau_hat=3 * TS), FreqChannelEstimate(h=h)
+    res = pre_equalize(OfdmSymbol(stack), st_, h_dl, PHY)
+    rows = [pre_equalize(OfdmSymbol(row), st_, h_dl, PHY) for row in stack]
+    tx = tx_ofdm(res.symbol, PHY).samples.reshape(len(stack), -1)
+    for i, one in enumerate(rows):
+        assert np.array_equal(bits(res.symbol.freq[i]), bits(one.symbol.freq))
+        assert bits(res.power_amplification[i]) == bits(one.power_amplification)
+        assert np.array_equal(bits(tx[i]), bits(tx_ofdm(one.symbol, PHY).samples))
+    assert res.flags() == [f for one in rows for f in one.flags()] == [
+        "power_cap", "deep_fade", "deep_fade", "deep_fade", "power_cap", "deep_fade"]
+
+
+@pytest.mark.parametrize("k_sensors", [1, 2, 3, 5, 16])
+def test_stacked_downlink_estimate_equals_per_pilot_reference(k_sensors):
+    links = draw_link_states(PHY, ChannelConfig(), k_sensors, np.random.default_rng(k_sensors))
+    session = HandshakeSession(links, PHY, snr_db=20.0, seed=k_sensors, payload_len=256,
+                               round_period_s=2e-3)
+    padded = SampleStream(np.pad(session.dl_frame.samples, PHY.guard))
+    rx = session.air.downlink(padded, k_sensors - 1, 0.0, len(session.dl_frame))
+    t_dl, h_now, raw_pilot0, dec = session.sensors[-1].receive_dl_digital(rx, session.dl_layout)
+    # reference: one demodulation and one LS estimate per pilot, then their mean
+    parts = slice_frame(rx.samples, session.dl_layout, dec.m0 - PHY.rx_backoff)
+    syms = [rx_ofdm(parts[f"pilot{j}"], PHY) for j in range(k_sensors)]
+    ref = average_estimates([ls_channel_estimate(sym, session.plan.pilot_symbols[j], t_s=t_dl)
+                             for j, sym in enumerate(syms)])
+    assert np.array_equal(bits(h_now.h), bits(ref.h)) and np.all(h_now.valid)
+    assert np.array_equal(bits(raw_pilot0.freq), bits(syms[0].freq))
 
 
 # ---------------------------------------------------------------------------
