@@ -90,7 +90,7 @@ class MultipathProfile:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorLinkState:
     """Per-sensor ground-truth impairments."""
 
@@ -249,16 +249,14 @@ def effective_channel_oracle(
     t_s: float,
     residual_cfo_hz: float,
     phy: PhyConfig,
-):
-    """Ground-truth effective channel as a receiver would observe it.
+) -> np.ndarray:
+    """Ground-truth effective channel as a receiver would observe it, per subcarrier.
 
     Composes the tap response, the timing-offset phase ramp, and the CFO
     phase at time t_s.  The CFO term carries opposite signs on the two link
     directions (the sensor's oscillator offset rotates downlink and uplink
     basebands in opposite senses).  Test-only: receivers must estimate.
     """
-    from .ofdm import FreqChannelEstimate  # local import avoids a cycle
-
     if direction not in ("DL", "UL"):
         raise ValueError("direction must be 'DL' or 'UL'")
     sign = 1.0 if direction == "DL" else -1.0
@@ -267,4 +265,4 @@ def effective_channel_oracle(
     a = tap_response_freq(state.profile, phy)
     ramp = np.exp(2j * np.pi * n * phy.fs_hz * to_s / phy.n_fft)
     phase = np.exp(2j * np.pi * sign * residual_cfo_hz * t_s)
-    return FreqChannelEstimate(h=phase * ramp * a, t_est_s=t_s, kind=direction)
+    return phase * ramp * a

@@ -21,6 +21,10 @@ class ConfigError(ValueError):
 
 SCENARIOS = ("frame-timing", "cfo", "constellation", "apb", "train", "e2e")
 
+# PhyConfig fields that scale or bound a signal: each must be a finite positive number
+_PHY_POSITIVE = ("fs_hz", "pilot_amp", "dl_pilot_amp", "ota_pilot_amp", "pam_amp", "pam_bound",
+                 "eq_floor", "power_cap")
+
 
 @dataclass(frozen=True)
 class PhyConfig:
@@ -52,10 +56,25 @@ class PhyConfig:
     power_cap: float = 10.0          # max mean power amplification of pre-equalization
     guard: int = 64                  # zero-padding around frames, absorbs TO shifts
     rx_backoff: int = 8              # demod anchor backs off into the CP by this many samples
-    null_dc: bool = False            # zero the DC subcarrier
-    edge_guards: int = 0             # zeroed subcarriers at each band edge
+    # Guard carriers are not supported: every subcarrier carries data.  The two
+    # fields stay so that manifests written with them still load and replay.
+    null_dc: bool = False
+    edge_guards: int = 0
 
     def __post_init__(self):
+        if self.null_dc:
+            raise ConfigError(f"null_dc must be false (every subcarrier carries data), got {self.null_dc!r}")
+        if self.edge_guards != 0:
+            raise ConfigError(
+                f"edge_guards must be 0 (every subcarrier carries data), got {self.edge_guards!r}")
+        for name in _PHY_POSITIVE:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 < self.clip_quantile <= 1:
+            raise ConfigError(f"clip_quantile must be in (0, 1], got {self.clip_quantile!r}")
+        if not math.isfinite(self.gamma_th):
+            raise ConfigError(f"gamma_th must be finite, got {self.gamma_th!r}")
         if self.m_ft % 2 != 0:
             raise ConfigError(f"m_ft must be even, got {self.m_ft}")
         if self.m_cfo_init <= self.n_fft:
@@ -81,22 +100,6 @@ class PhyConfig:
     def sym_len(self) -> int:
         """Samples per OFDM symbol including cyclic prefix."""
         return self.n_fft + self.cp_len
-
-    def used_carriers(self):
-        """Boolean mask over signed-index subcarriers; all on by default."""
-        import numpy as np
-
-        mask = np.ones(self.n_fft, dtype=bool)
-        if self.null_dc:
-            mask[self.n_fft // 2] = False
-        if self.edge_guards > 0:
-            mask[: self.edge_guards] = False
-            mask[-self.edge_guards :] = False
-        return mask
-
-    @property
-    def n_used(self) -> int:
-        return int(self.used_carriers().sum())
 
 
 @dataclass(frozen=True)

@@ -20,19 +20,27 @@ import numpy as np
 from . import __version__
 from .channel import (
     SampleStream,
-    SensorLinkState,
     add_awgn,
     apply_cfo,
     apply_multipath,
     default_profile,
     draw_link_states,
+    tap_response_freq,
     unit_profile,
 )
 from .config import ConfigError, ExperimentConfig, config_hash, config_to_dict
-from .fl import eta_schedule, gen_rss_map, heatmap_nmse, init_model, offline_baseline, train
+from .fl import (
+    LAYER_SIZES,
+    eta_schedule,
+    forward,
+    gen_rss_map,
+    heatmap_nmse,
+    init_model,
+    offline_baseline,
+    train,
+)
 from .framing import detect_frame, gen_cfo_subframe, gen_ft
 from .ofdm import (
-    OfdmSymbol,
     equalize,
     ls_channel_estimate,
     make_pilot_plan,
@@ -167,8 +175,6 @@ def run_cfo(cfg: ExperimentConfig) -> ScenarioResult:
         if cfg.channel.ideal:
             base = np.exp(1j * rng.uniform(-np.pi, np.pi, phy.n_fft))
         else:
-            from .channel import tap_response_freq
-
             prof = default_profile(phy, cfg.channel, rng)
             pilot = make_pilot_plan(phy, 1, seed=int(rng.integers(2**31))).pilot_symbols[0]
             base = tap_response_freq(prof, phy) * pilot
@@ -179,10 +185,10 @@ def run_cfo(cfg: ExperimentConfig) -> ScenarioResult:
                 rng.standard_normal(phy.n_fft) + 1j * rng.standard_normal(phy.n_fft)
             )
 
-        state = start_tracking(CfoEstimate(), OfdmSymbol(noisy(base)), 0.0)
+        state = start_tracking(CfoEstimate(), noisy(base), 0.0)
         for p in range(p_max):
             t = (p + 1) * dt
-            state = track_residual_cfo(state, OfdmSymbol(noisy(base * np.exp(2j * np.pi * f_true * t))), t)
+            state = track_residual_cfo(state, noisy(base * np.exp(2j * np.pi * f_true * t)), t)
             sq[p] += (state.residual_hz - f_true) ** 2
     tracking = MetricTable("cfo_tracking", ("p", "snr_db", "trials", "nmse"))
     for p in range(p_max):
@@ -214,7 +220,7 @@ def run_constellation(cfg: ExperimentConfig) -> ScenarioResult:
         for sym_i in range(params.n_symbols):
             bits = rng_s.integers(0, 2, size=bits_per_sym)
             data = map_qam(bits, order, phy)
-            rx_p = apply_multipath(tx_ofdm(OfdmSymbol(plan.pilot_symbols[0].copy()), phy), profile, phy)
+            rx_p = apply_multipath(tx_ofdm(plan.pilot_symbols[0], phy), profile, phy)
             rx_d = apply_multipath(tx_ofdm(data, phy), profile, phy)
             if not math.isinf(snr_db):
                 rx_p = add_awgn(rx_p, float(snr_db), rng_s)
@@ -226,9 +232,9 @@ def run_constellation(cfg: ExperimentConfig) -> ScenarioResult:
             if sym_i < 4:  # dump a plottable subset
                 for n in range(phy.n_fft):
                     dump.add(float(snr_db), sym_i, n,
-                             float(data.freq[n].real), float(data.freq[n].imag),
-                             float(raw.freq[n].real), float(raw.freq[n].imag),
-                             float(eq.freq[n].real), float(eq.freq[n].imag))
+                             float(data[n].real), float(data[n].imag),
+                             float(raw[n].real), float(raw[n].imag),
+                             float(eq[n].real), float(eq[n].imag))
         total = params.n_symbols * phy.n_fft
         summary_tab.add(float(snr_db), params.n_symbols, errors, errors / total)
         trace.append({"scenario": "constellation", "snr_db": float(snr_db), "ser": errors / total})
@@ -266,9 +272,8 @@ def run_apb(cfg: ExperimentConfig) -> ScenarioResult:
         [pay_rng.uniform(-1.0, 1.0, cfg.apb.payload_len) for _ in range(2)]
         for _ in range(cfg.apb.rounds)
     ]
-    links_copy = [SensorLinkState(l.profile, l.cfo_hz, l.to_dl_s, l.to_ul_s) for l in links]
     session_on, res_on = _run_apb_session(cfg, links, payloads, True)
-    _, res_off = _run_apb_session(cfg, links_copy, payloads, False)
+    _, res_off = _run_apb_session(cfg, links, payloads, False)
 
     table = MetricTable("apb", ("round", "nmse_comp", "nmse_nocomp", "retried", "flags"))
     for a, b in zip(res_on, res_off):
@@ -279,7 +284,7 @@ def run_apb(cfg: ExperimentConfig) -> ScenarioResult:
     off = np.array([r.nmse_d for r in res_off])
     for x in grid:
         cdf.add(float(x), float(np.mean(nm <= x)), float(np.mean(off <= x)))
-    trace = [dict(kind=e.kind, t_s=e.t_s, **e.payload) for e in session_on.trace]
+    trace = session_on.trace
     summary = {
         "rounds": cfg.apb.rounds,
         "snr_db": float(cfg.snr_db[-1]),
@@ -331,8 +336,6 @@ def run_train(cfg: ExperimentConfig) -> ScenarioResult:
 
     cells, coords = heatmap_nmse(model_ota, rss)
     truth = rss.truth_norm(coords)
-    from .fl import LAYER_SIZES, forward
-
     pred = forward(model_ota, coords)
     heat = MetricTable("train_heatmap", ("x_norm", "y_norm", "rss_true", "rss_pred", "cell_nmse"))
     for c, yt, yp, cell in zip(coords, truth, pred, cells):
@@ -351,7 +354,7 @@ def run_train(cfg: ExperimentConfig) -> ScenarioResult:
         "loss_offline": [float(v) for v in losses_off],
     }
 
-    trace = [dict(kind=e.kind, t_s=e.t_s, **e.payload) for e in session.trace[:2000]]
+    trace = session.trace[:2000]
     summary = {
         "rounds": tcfg.rounds,
         "final_loss_ota": float(losses_ota[-1]),
@@ -385,7 +388,7 @@ def run_e2e(cfg: ExperimentConfig) -> ScenarioResult:
         for k, st in enumerate(session.states):
             table.add(r.index, k, r.nmse_d, st.phi_hat, st.tau_hat / cfg.phy.t_s, st.dfr_hat,
                       st.tracking.residual_hz, r.diag["sensors"][k]["detect_m0"], r.retried)
-    trace = [dict(kind=e.kind, t_s=e.t_s, **e.payload) for e in session.trace]
+    trace = session.trace
     nm = [row[2] for row in table.rows]
     summary = {"rounds": cfg.e2e.rounds, "mean_nmse": float(np.mean(nm)),
                "recorrections": session.recorrections}

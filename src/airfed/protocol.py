@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,11 +52,10 @@ from .framing import (
 )
 from .fl import chunk_payload, dechunk_payload, payload_scale
 from .ofdm import (
-    FreqChannelEstimate,
-    OfdmSymbol,
     PilotPlan,
+    average_estimates,
     demap_pam,
-    equalize,
+    floored_divisor,
     ls_channel_estimate,
     make_common_pilot,
     make_pilot_plan,
@@ -90,19 +89,12 @@ class PreEqState:
     phi_hat: float = 0.0
     tau_hat: float = 0.0
     dfr_hat: float = 0.0
-    h_dl_prev: FreqChannelEstimate | None = None
+    h_dl_prev: np.ndarray | None = None
     t_dl_prev: float = math.nan
     t_ul_prev: float = math.nan
     tracking: CfoEstimate = CfoEstimate()
     lo_corr_hz: float = 0.0      # coarse LO correction, summed over corrections
     recorrection: bool = False   # request a fresh coarse correction before the next round
-
-
-@dataclass
-class ProtocolEvent:
-    kind: str  # DlTrigger, UlPreEqAck, DlOtaRequest, UlOtaFrame, CtrlBroadcast
-    t_s: float
-    payload: dict = field(default_factory=dict)
 
 
 def wrap_pi(angle: float) -> float:
@@ -113,7 +105,7 @@ def wrap_pi(angle: float) -> float:
     return float(w)
 
 
-def tx_ofdm(sym: OfdmSymbol, phy: PhyConfig) -> SampleStream:
+def tx_ofdm(freq: np.ndarray, phy: PhyConfig) -> SampleStream:
     """Modulate with a sqrt(N) transmit gain.
 
     The inverse-DFT convention leaves an OFDM body 1/N of its subcarrier
@@ -121,11 +113,11 @@ def tx_ofdm(sym: OfdmSymbol, phy: PhyConfig) -> SampleStream:
     the BPSK timing and tone sections, so one frame-level SNR means the
     same thing for every section.  Receivers undo it before demodulation.
     """
-    out = ofdm_modulate(sym, phy)
+    out = ofdm_modulate(freq, phy)
     return SampleStream(out.samples * np.sqrt(phy.n_fft), out.t0_s)
 
 
-def rx_ofdm(section: np.ndarray, phy: PhyConfig) -> OfdmSymbol:
+def rx_ofdm(section: np.ndarray, phy: PhyConfig) -> np.ndarray:
     """Undo the transmit gain and demodulate one symbol, or a (rows, N + L) stack."""
     return ofdm_demodulate(np.asarray(section) / np.sqrt(phy.n_fft), phy)
 
@@ -134,36 +126,31 @@ def rx_ofdm(section: np.ndarray, phy: PhyConfig) -> OfdmSymbol:
 # estimators on effective channels
 # ---------------------------------------------------------------------------
 
-def estimate_phi0(h_ota: FreqChannelEstimate) -> float:
+def estimate_phi0(h_ota: np.ndarray) -> float:
     """Phase intercept of the residual channel's phase response.
 
     Averages unwrapped per-carrier phases over +-n pairs, which cancels any
     linear slope and leaves the common intercept (mod 2 pi).  Adjacent-
     carrier phase differences are confined to (-pi, pi] by the unwrap.
     """
-    n_fft = len(h_ota.h)
+    n_fft = len(h_ota)
     mid = n_fft // 2
-    if not np.all(h_ota.valid):
-        raise ValueError("phase intercept needs all carriers valid")
-    ang = np.unwrap(np.angle(h_ota.h))
+    ang = np.unwrap(np.angle(h_ota))
     total = 0.0
     for n in range(1, mid):
         total += ang[mid - n] + ang[mid + n]
     return wrap_pi(total / (n_fft - 2))
 
 
-def slope_delay(h: FreqChannelEstimate, phy: PhyConfig) -> float:
+def slope_delay(h: np.ndarray, phy: PhyConfig) -> float:
     """Delay read off the mean phase increment between adjacent carriers."""
-    hv = h.h
-    if not np.all(h.valid):
-        raise ValueError("slope estimate needs all carriers valid")
-    acc = np.sum(np.conj(hv[:-1]) * hv[1:])
+    acc = np.sum(np.conj(h[:-1]) * h[1:])
     return float(phy.n_fft / (2.0 * np.pi * phy.fs_hz) * np.angle(acc))
 
 
 def estimate_residual_cfo_sensor(
-    h_dl_prev: FreqChannelEstimate,
-    h_dl_now: FreqChannelEstimate,
+    h_dl_prev: np.ndarray,
+    h_dl_now: np.ndarray,
     dt_dl_s: float,
     phy: PhyConfig,
     drift_samples: int = 0,
@@ -177,10 +164,10 @@ def estimate_residual_cfo_sensor(
     """
     if dt_dl_s <= 0:
         raise ValueError("downlink period must be positive")
-    now = h_dl_now.h
+    now = h_dl_now
     if drift_samples:
         now = now * _drift_ramp(phy.n_fft, drift_samples)
-    acc = np.sum(np.conj(h_dl_prev.h) * now)
+    acc = np.sum(np.conj(h_dl_prev) * now)
     return float(np.angle(acc) / (2.0 * np.pi * dt_dl_s))
 
 
@@ -193,7 +180,7 @@ def _drift_ramp(n_fft: int, d: int) -> np.ndarray:
 
 
 def integer_sample_drift(
-    h_dl_prev: FreqChannelEstimate, h_dl_now: FreqChannelEstimate, phy: PhyConfig,
+    h_dl_prev: np.ndarray, h_dl_now: np.ndarray, phy: PhyConfig,
     candidates: tuple[int, ...] = (-2, -1, 0, 1, 2),
 ) -> int:
     """Slope change between consecutive downlink estimates, on the sample grid.
@@ -205,7 +192,7 @@ def integer_sample_drift(
     from adjacent-carrier increments, whose noise on a frequency-selective
     channel is comparable to half a sample per round.
     """
-    ratio = h_dl_now.h * np.conj(h_dl_prev.h)
+    ratio = h_dl_now * np.conj(h_dl_prev)
     scores = [np.abs(np.sum(ratio * _drift_ramp(phy.n_fft, d))) for d in candidates]
     return int(candidates[int(np.argmax(scores))])
 
@@ -230,7 +217,7 @@ def update_tau(tau_hat: float, drift: int, phy: PhyConfig) -> float:
 
 @dataclass
 class PreEqResult:
-    symbol: OfdmSymbol
+    symbol: np.ndarray               # the pre-equalized subcarrier values, row by row
     flagged: np.ndarray              # carriers at the division floor
     power_amplification: np.ndarray  # per row: mean output power / mean input power
     cap_exceeded: np.ndarray         # per row
@@ -242,23 +229,17 @@ class PreEqResult:
 
 
 def pre_equalize(
-    x: OfdmSymbol, state: PreEqState, h_dl_now: FreqChannelEstimate, phy: PhyConfig
+    x: np.ndarray, state: PreEqState, h_dl_now: np.ndarray, phy: PhyConfig
 ) -> PreEqResult:
     """Invert the predicted uplink effective channel ahead of transmission, row by row."""
     n = subcarrier_indices(phy.n_fft)
     ramp = np.exp(1j * (state.phi_hat + 2.0 * np.pi * n * phy.fs_hz * state.tau_hat / phy.n_fft))
-    denom = ramp * h_dl_now.h
-    mag = np.abs(denom)
-    flagged = mag < phy.eq_floor
-    safe = denom.copy()
-    safe[flagged] = np.where(mag[flagged] > 0,
-                             denom[flagged] * (phy.eq_floor / mag[flagged]),
-                             phy.eq_floor)
-    out = x.freq / safe
-    p_in = np.mean(np.abs(x.freq) ** 2, axis=-1)
+    safe, flagged = floored_divisor(ramp * h_dl_now, phy.eq_floor)
+    out = x / safe
+    p_in = np.mean(np.abs(x) ** 2, axis=-1)
     amp = np.divide(np.mean(np.abs(out) ** 2, axis=-1), p_in, out=np.zeros_like(p_in), where=p_in > 0)
     return PreEqResult(
-        symbol=OfdmSymbol(out, x.modulation),
+        symbol=out,
         flagged=flagged,
         power_amplification=amp,
         cap_exceeded=amp > phy.power_cap,
@@ -339,7 +320,7 @@ class SensorNode:
     """
 
     def __init__(self, k: int, phy: PhyConfig, ft: FtSequence, plan: PilotPlan,
-                 common_pilot: OfdmSymbol, compensation: bool = True):
+                 common_pilot: np.ndarray, compensation: bool = True):
         self.k = k
         self.phy = phy
         self.ft = ft
@@ -368,11 +349,9 @@ class SensorNode:
             raise FrameDetectionError(f"sensor {self.k}: downlink frame not detected")
         t_stamp = rx.t0_s + dec.m0 * phy.t_s
         rows = section_rows(rx.samples, layout, dec.m0 - phy.rx_backoff, "pilot0", self.plan.k_sensors)
-        pilots = rx_ofdm(rows, phy).freq
-        # per-pilot least squares, then the mean over the K estimates
-        h_now = FreqChannelEstimate(h=np.mean(pilots / self.plan.pilot_symbols, axis=0),
-                                    t_est_s=t_stamp, kind="DL")
-        return t_stamp, h_now, OfdmSymbol(pilots[0]), dec
+        pilots = rx_ofdm(rows, phy)
+        h_now = average_estimates(ls_channel_estimate(pilots, self.plan.pilot_symbols))
+        return t_stamp, h_now, pilots[0], dec
 
     def process_round_dl(self, st: PreEqState, rx: SampleStream, layout: FrameLayout,
                          t_ul_next: float) -> tuple[PreEqState, dict]:
@@ -411,8 +390,7 @@ class SensorNode:
 
     def _preeq_rows(self, st: PreEqState, stack: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Pre-equalize a (rows, N) stack and modulate it: (rows, N + L) samples and the flags."""
-        res = pre_equalize(OfdmSymbol(stack), st if self.compensation else PreEqState(),
-                           st.h_dl_prev, self.phy)
+        res = pre_equalize(stack, st if self.compensation else PreEqState(), st.h_dl_prev, self.phy)
         return tx_ofdm(res.symbol, self.phy).samples.reshape(len(stack), -1), res.flags()
 
     def build_stage1_ack(self, st: PreEqState, layout: FrameLayout) -> tuple[SampleStream, list[str]]:
@@ -430,7 +408,7 @@ class SensorNode:
     def build_ota_frame(self, st: PreEqState, layout: FrameLayout,
                         chunks: list[np.ndarray]) -> tuple[SampleStream, list[str]]:
         """The uplink frame: the common pilot, then one PAM symbol per payload chunk."""
-        stack = np.concatenate([self.common_pilot.freq[None], map_pam(chunks, self.phy).freq])
+        stack = np.concatenate([self.common_pilot[None], map_pam(chunks, self.phy)])
         rows, flags = self._preeq_rows(st, stack)
         parts = {"ft": self.ft.symbols.astype(np.complex128), "pilot": rows[0]}
         parts.update({f"data{i}": row for i, row in enumerate(rows[1:])})
@@ -440,7 +418,7 @@ class SensorNode:
 class AccessPoint:
     """AP logic: broadcast construction and aggregate reception."""
 
-    def __init__(self, phy: PhyConfig, ft: FtSequence, plan: PilotPlan, common_pilot: OfdmSymbol):
+    def __init__(self, phy: PhyConfig, ft: FtSequence, plan: PilotPlan, common_pilot: np.ndarray):
         self.phy = phy
         self.ft = ft
         self.plan = plan
@@ -460,23 +438,20 @@ class AccessPoint:
             "ft": self.ft.symbols.astype(np.complex128),
             "cfo": gen_cfo_subframe(phy, phy.m_cfo_frame, phy.pilot_amp),
         }
-        rows = tx_ofdm(OfdmSymbol(self.plan.pilot_symbols), phy).samples.reshape(self.plan.k_sensors, -1)
+        rows = tx_ofdm(self.plan.pilot_symbols, phy).samples.reshape(self.plan.k_sensors, -1)
         parts.update({f"pilot{j}": row for j, row in enumerate(rows)})
         return assemble_frame(layout, parts)
 
     def _ul_anchor(self) -> int:
         return self.phy.guard - self.phy.rx_backoff
 
-    def receive_stage1(self, rx: SampleStream, layout: FrameLayout, t_ul_s: float):
+    def receive_stage1(self, rx: SampleStream, layout: FrameLayout):
         """Per-sensor residual channel, phase intercept, and slope delay."""
         phy = self.phy
         rows = section_rows(rx.samples, layout, self._ul_anchor(), "pilot0", self.plan.k_sensors)
-        h = rx_ofdm(rows, phy).freq / self.plan.pilot_symbols
-        phi0, tau0 = {}, {}
-        for k in range(self.plan.k_sensors):
-            est = FreqChannelEstimate(h=h[k], t_est_s=t_ul_s, kind="OTA")
-            phi0[k] = estimate_phi0(est)
-            tau0[k] = slope_delay(est, phy)
+        h = ls_channel_estimate(rx_ofdm(rows, phy), self.plan.pilot_symbols)
+        phi0 = {k: estimate_phi0(h_k) for k, h_k in enumerate(h)}
+        tau0 = {k: slope_delay(h_k, phy) for k, h_k in enumerate(h)}
         diag_det = detect_frame(rx, self.ft, phy)
         return phi0, tau0, diag_det
 
@@ -487,21 +462,19 @@ class AccessPoint:
         and any shared anchor ramp).  Only the phase is equalized: after
         pre-equalization the common gain is unity by construction, and an
         amplitude division would move first-order pilot noise straight into
-        the real-axis payload read.
+        the real-axis payload read.  The phase estimate has magnitude 1, so the
+        division needs no floor; a carrier whose pilot arrives at or below
+        ``eq_floor`` keeps phase 0 and counts as unreliable in every data symbol.
         """
         phy = self.phy
         n_data = sum(s.name.startswith("data") for s in layout.sections)
-        syms = rx_ofdm(section_rows(rx.samples, layout, self._ul_anchor(), "pilot", 1 + n_data), phy).freq
-        known = self.plan.k_sensors * self.common_pilot.freq
-        h_common = ls_channel_estimate(OfdmSymbol(syms[0]), known, kind="OTA")
-        mag = np.abs(h_common.h)
-        h_phase = FreqChannelEstimate(
-            h=np.where(mag > phy.eq_floor, h_common.h / np.maximum(mag, phy.eq_floor), 1.0),
-            t_est_s=h_common.t_est_s, kind="OTA", valid=h_common.valid,
-        )
-        eq, reliable = equalize(OfdmSymbol(syms[1:]), h_phase, phy)
-        unreliable = n_data * int(np.sum(~reliable))
-        agg = dechunk_payload(demap_pam(eq, phy), n_values, scale)
+        syms = rx_ofdm(section_rows(rx.samples, layout, self._ul_anchor(), "pilot", 1 + n_data), phy)
+        h_common = ls_channel_estimate(syms[0], self.plan.k_sensors * self.common_pilot)
+        mag = np.abs(h_common)
+        faded = mag <= phy.eq_floor
+        h_phase = np.where(faded, 1.0, h_common / np.maximum(mag, phy.eq_floor))
+        unreliable = n_data * int(np.sum(faded))
+        agg = dechunk_payload(demap_pam(syms[1:] / h_phase, phy), n_values, scale)
         diag_det = detect_frame(rx, self.ft, phy)
         return agg, {"unreliable_carriers": unreliable, "ul_detect_valid": diag_det.valid,
                      "ul_detect_m0": diag_det.m0, "common_gain": float(np.mean(mag))}
@@ -545,9 +518,6 @@ class HandshakeSession:
         self.compensation = compensation
         self.round_period_s = round_period_s
         self.turnaround_s = turnaround_s
-        if phy.n_used != phy.n_fft:
-            raise ValueError("the aggregation protocol requires full carrier occupancy; "
-                             "disable null_dc/edge_guards")
         root = np.random.SeedSequence(seed)
         noise_ss, ref_ss = root.spawn(2)
         self.rng = np.random.default_rng(noise_ss)
@@ -555,8 +525,6 @@ class HandshakeSession:
         ft_seed, pilot_seed, common_seed = (int(ref_rng.integers(2**31)) for _ in range(3))
         self.ft = gen_ft(phy, ft_seed)
         self.plan = make_pilot_plan(phy, self.k_sensors, pilot_seed)
-        if np.any(self.plan.pilot_symbols == 0.0):  # the LS divides by every pilot value
-            raise ValueError("known pilot has zero-amplitude carriers marked as used")
         self.common = make_common_pilot(phy, common_seed)
         self.air = AirInterface(phy, links, snr_db, self.rng)
         self.ap = AccessPoint(phy, self.ft, self.plan, self.common)
@@ -564,7 +532,7 @@ class HandshakeSession:
             SensorNode(k, phy, self.ft, self.plan, self.common, compensation)
             for k in range(self.k_sensors)
         ]
-        self.n_data = int(np.ceil(payload_len / phy.n_used))
+        self.n_data = int(np.ceil(payload_len / phy.n_fft))
         self.dl_layout = digital_frame_layout(phy, self.k_sensors, n_data=0)
         self.ul_layout = ota_frame_layout(phy, self.n_data)
         self.dl_frame = self.ap.build_dl_digital(self.dl_layout)
@@ -573,7 +541,7 @@ class HandshakeSession:
         self.ul_offset_s = dl_dur + turnaround_s
         if round_period_s < self.ul_offset_s + ul_dur + turnaround_s:
             raise ValueError("round period too short for the frame schedule")
-        self.trace: list[ProtocolEvent] = []
+        self.trace: list[dict] = []  # one JSON-ready event per entry
         self.states: tuple[PreEqState, ...] | None = None
         self.recorrections = 0
         self._next_dl_t = 0.0
@@ -604,7 +572,7 @@ class HandshakeSession:
         t = t0
         padded = _pad(self.ap.build_preamble(), phy, t)
         preamble_len = len(padded) - 2 * phy.guard
-        self.trace.append(ProtocolEvent("DlTrigger", t, {"frame": "InitPreamble"}))
+        self.trace.append({"kind": "DlTrigger", "t_s": t, "frame": "InitPreamble"})
         # Each received copy is as long as the 10^6-sample preamble, so one is
         # made, consumed and dropped before the next: memory stays flat in K.
         # Receiving draws no noise, so the noise stream keeps its order.
@@ -612,10 +580,10 @@ class HandshakeSession:
         for k, node in enumerate(self.sensors):
             est = node.receive_preamble(self.air.downlink(padded, k, lo_corrs[k], preamble_len))
             states.append(PreEqState(lo_corr_hz=lo_corrs[k] + est))
-            self.trace.append(ProtocolEvent("CtrlBroadcast", t, {"sensor": k, "coarse_hz": est}))
+            self.trace.append({"kind": "CtrlBroadcast", "t_s": t, "sensor": k, "coarse_hz": est})
         t += len(padded) * phy.t_s + self.turnaround_s
 
-        self.trace.append(ProtocolEvent("DlTrigger", t, {"frame": "Stage1DL"}))
+        self.trace.append({"kind": "DlTrigger", "t_s": t, "frame": "Stage1DL"})
         t_ul = t + self.ul_offset_s
         states = [node.process_round_dl(st, rx, self.dl_layout, t_ul)[0]
                   for node, st, rx in zip(self.sensors, states, self._broadcast(t, states))]
@@ -625,25 +593,27 @@ class HandshakeSession:
             frame, flags = node.build_stage1_ack(st, self.dl_layout)
             acks[k] = frame
             if flags:
-                self.trace.append(ProtocolEvent("UlPreEqAck", t_ul, {"sensor": k, "flags": flags}))
+                self.trace.append({"kind": "UlPreEqAck", "t_s": t_ul, "sensor": k, "flags": flags})
         rx = self._collect_ul(acks, t_ul, states)
-        phi0, tau0, det = self.ap.receive_stage1(rx, self.dl_layout, t_ul)
-        self.trace.append(ProtocolEvent("UlPreEqAck", t_ul, {
+        phi0, tau0, det = self.ap.receive_stage1(rx, self.dl_layout)
+        self.trace.append({
+            "kind": "UlPreEqAck", "t_s": t_ul,
             "phi0": {k: float(v) for k, v in phi0.items()},
             "tau0": {k: float(v) for k, v in tau0.items()},
             "ul_detect_valid": det.valid,
-        }))
+        })
         ul_dur = (self.ul_layout.total_len + 2 * phy.guard) * phy.t_s
         self._next_dl_t = t_ul + ul_dur + self.turnaround_s
         self.states = tuple(replace(st, phi_hat=phi0[k], tau_hat=tau0[k]) for k, st in enumerate(states))
 
     def initialize(self):
-        self.trace.append(ProtocolEvent("CtrlBroadcast", 0.0, {
+        self.trace.append({
+            "kind": "CtrlBroadcast", "t_s": 0.0,
             "frame_layouts": {
                 "downlink": self.dl_layout.describe(),
                 "uplink": self.ul_layout.describe(),
             },
-        }))
+        })
         try:
             self._initialize_at(0.0, [0.0] * self.k_sensors)
         except (SyncLossError, FrameDetectionError) as exc:
@@ -653,8 +623,7 @@ class HandshakeSession:
         """Re-run the coarse correction when a sensor requested it."""
         if not any(st.recorrection for st in self.states):
             return
-        self.trace.append(ProtocolEvent("CtrlBroadcast", self._next_dl_t,
-                                        {"action": "coarse_recorrection"}))
+        self.trace.append({"kind": "CtrlBroadcast", "t_s": self._next_dl_t, "action": "coarse_recorrection"})
         self.recorrections += 1
         try:
             self._initialize_at(self._next_dl_t, [st.lo_corr_hz for st in self.states])
@@ -666,8 +635,8 @@ class HandshakeSession:
     def _run_round_once(self, payloads: list[np.ndarray], t_dl: float, retried: bool) -> RoundResult:
         t_ul = t_dl + self.ul_offset_s
         scale = payload_scale(payloads, self.phy.pam_bound, self.phy.clip_quantile)
-        chunked = [chunk_payload(g, self.phy.n_used, scale)[0] for g in payloads]
-        self.trace.append(ProtocolEvent("DlOtaRequest", t_dl, {"round": self.round_index}))
+        chunked = [chunk_payload(g, self.phy.n_fft, scale)[0] for g in payloads]
+        self.trace.append({"kind": "DlOtaRequest", "t_s": t_dl, "round": self.round_index})
         states, sensor_diags = [], []
         for node, st, rx in zip(self.sensors, self.states, self._broadcast(t_dl, self.states)):
             st, d = node.process_round_dl(st, rx, self.dl_layout, t_ul)
@@ -695,10 +664,11 @@ class HandshakeSession:
             }
             for k, st in enumerate(states)
         }
-        self.trace.append(ProtocolEvent("UlOtaFrame", t_ul, {
+        self.trace.append({
+            "kind": "UlOtaFrame", "t_s": t_ul,
             "round": self.round_index, "nmse_d": nmse, "flags": flags,
             "estimates": estimates, **ap_diag,
-        }))
+        })
         self.states = tuple(states)
         diag = {"sensors": sensor_diags, **ap_diag}
         return RoundResult(self.round_index, retried, nmse, agg, flags, diag)
@@ -725,8 +695,8 @@ class HandshakeSession:
         try:
             return self._run_round_once(payloads, base, retried=False)
         except (SyncLossError, FrameDetectionError) as first:
-            self.trace.append(ProtocolEvent("DlOtaRequest", base, {
-                "round": self.round_index, "retry": str(first)}))
+            self.trace.append({"kind": "DlOtaRequest", "t_s": base, "round": self.round_index,
+                               "retry": str(first)})
             try:
                 return self._run_round_once(payloads, base + self.round_period_s / 2.0, retried=True)
             except (SyncLossError, FrameDetectionError) as second:

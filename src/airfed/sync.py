@@ -15,7 +15,6 @@ import numpy as np
 
 from .channel import SampleStream
 from .config import PhyConfig
-from .ofdm import OfdmSymbol
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,9 @@ class CfoEstimate:
     prev_pilot: np.ndarray | None = None
 
 
-def start_tracking(state: CfoEstimate, rx_pilot: OfdmSymbol, t_s: float) -> CfoEstimate:
+def start_tracking(state: CfoEstimate, rx_pilot: np.ndarray, t_s: float) -> CfoEstimate:
     """Return ``state`` holding the reference pilot that later updates compare against."""
-    return replace(state, prev_pilot=rx_pilot.freq.copy(), last_t_s=t_s)
+    return replace(state, prev_pilot=rx_pilot.copy(), last_t_s=t_s)
 
 
 def coarse_cfo_estimate(r_init: SampleStream, phy: PhyConfig) -> float:
@@ -57,7 +56,7 @@ def coarse_cfo_estimate(r_init: SampleStream, phy: PhyConfig) -> float:
     return float(np.angle(acc) / (2.0 * np.pi * phy.t_s * L))
 
 
-def track_residual_cfo(state: CfoEstimate, rx_pilot: OfdmSymbol, t_p: float) -> CfoEstimate:
+def track_residual_cfo(state: CfoEstimate, rx_pilot: np.ndarray, t_p: float) -> CfoEstimate:
     """One tracking update against the stored pilot.
 
     The single-shot estimate averages per-carrier rotation angles, each
@@ -69,7 +68,7 @@ def track_residual_cfo(state: CfoEstimate, rx_pilot: OfdmSymbol, t_p: float) -> 
     dt = t_p - state.last_t_s
     if dt <= 0:
         raise ValueError("pilot timestamps must increase")
-    now = rx_pilot.freq
+    now = rx_pilot
     prev = state.prev_pilot
     usable = (np.abs(prev) > 0) & (np.abs(now) > 0)
     if not np.any(usable):

@@ -21,7 +21,7 @@ from airfed.channel import (
     unit_profile,
 )
 from airfed.config import ChannelConfig, PhyConfig
-from airfed.ofdm import OfdmSymbol, ofdm_demodulate, ofdm_modulate
+from airfed.ofdm import ofdm_demodulate, ofdm_modulate
 
 PHY = PhyConfig()
 TS = PHY.t_s
@@ -229,13 +229,13 @@ def test_add_noise_bitwise_equals_complex_noise_sum():
 
 def test_oracle_flat_unit_channel():
     link = SensorLinkState(profile=unit_profile())
-    h = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h
+    h = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY)
     np.testing.assert_allclose(h, np.ones(PHY.n_fft))
 
 
 def test_oracle_one_sample_delay_slope():
     link = SensorLinkState(profile=unit_profile(), to_dl_s=TS)
-    h = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h
+    h = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY)
     n = subcarrier_indices(PHY.n_fft)
     np.testing.assert_allclose(h, np.exp(2j * np.pi * n / PHY.n_fft), atol=1e-12)
 
@@ -243,8 +243,8 @@ def test_oracle_one_sample_delay_slope():
 def test_oracle_ul_dl_cfo_conjugate():
     link = SensorLinkState(profile=unit_profile(), to_dl_s=3 * TS, to_ul_s=3 * TS)
     t, fr = 0.01, 40.0
-    h_dl = effective_channel_oracle(link, "DL", t, fr, PHY).h
-    h_ul = effective_channel_oracle(link, "UL", t, fr, PHY).h
+    h_dl = effective_channel_oracle(link, "DL", t, fr, PHY)
+    h_ul = effective_channel_oracle(link, "UL", t, fr, PHY)
     # same timing ramp, opposite CFO phase
     np.testing.assert_allclose(h_ul * np.exp(2j * np.pi * fr * t),
                                h_dl * np.exp(-2j * np.pi * fr * t), atol=1e-12)
@@ -254,7 +254,7 @@ def test_oracle_equals_tap_dft_when_unimpaired():
     rng = np.random.default_rng(11)
     prof = default_profile(PHY, ChannelConfig(), rng)
     link = SensorLinkState(profile=prof)
-    h = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h
+    h = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY)
     np.testing.assert_allclose(h, tap_response_freq(prof, PHY), atol=1e-12)
 
 
@@ -264,10 +264,10 @@ def test_demod_matches_oracle_through_channel():
     X = rng.standard_normal(PHY.n_fft) + 1j * rng.standard_normal(PHY.n_fft)
     prof = MultipathProfile(taps=((0.8 + 0.2j, 0.0), (0.4 - 0.1j, 2 * TS)))
     link = SensorLinkState(profile=prof, to_dl_s=-3 * TS)
-    tx = ofdm_modulate(OfdmSymbol(X), PHY)
+    tx = ofdm_modulate(X, PHY)
     rx = apply_timing_offset(apply_multipath(tx, prof, PHY), link.to_dl_s, PHY)
-    got = ofdm_demodulate(rx, PHY).freq
-    want = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h * X
+    got = ofdm_demodulate(rx, PHY)
+    want = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY) * X
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 

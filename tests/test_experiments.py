@@ -1,6 +1,7 @@
 """Scenario runners, config loading, CLI, and reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -249,6 +250,26 @@ def test_cli_rejects_bad_top_level_fields(tmp_path, capsys, fields, args, messag
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "cfo", "out_dir": str(tmp_path / "out"), **fields}))
     rc = cli_main(["cfo", "--config", str(cfg_path), *args])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, phy, message", [
+    ("e2e", {"pam_amp": 0}, "pam_amp must be finite and > 0, got 0"),
+    ("e2e", {"dl_pilot_amp": 0}, "dl_pilot_amp must be finite and > 0, got 0"),
+    ("e2e", {"ota_pilot_amp": 0}, "ota_pilot_amp must be finite and > 0, got 0"),
+    ("e2e", {"pilot_amp": math.inf}, "pilot_amp must be finite and > 0, got inf"),
+    ("e2e", {"eq_floor": math.nan}, "eq_floor must be finite and > 0, got nan"),
+    ("e2e", {"clip_quantile": 0.0}, "clip_quantile must be in (0, 1], got 0.0"),
+    ("e2e", {"gamma_th": -math.inf}, "gamma_th must be finite, got -inf"),
+    ("apb", {"null_dc": True}, "null_dc must be false (every subcarrier carries data), got True"),
+    ("cfo", {"edge_guards": 2}, "edge_guards must be 0 (every subcarrier carries data), got 2"),
+])
+def test_cli_rejects_bad_phy_fields(tmp_path, capsys, scenario, phy, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": scenario, "out_dir": str(tmp_path / "out"), "phy": phy}))
+    rc = cli_main([scenario, "--config", str(cfg_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()

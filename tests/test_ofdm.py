@@ -15,8 +15,6 @@ from airfed.channel import (
 )
 from airfed.config import ChannelConfig, PhyConfig
 from airfed.ofdm import (
-    FreqChannelEstimate,
-    OfdmSymbol,
     average_estimates,
     demap_pam,
     demap_qam,
@@ -47,7 +45,7 @@ def rand_freq(rng):
 def test_modulate_impulse_gives_constant_body():
     freq = np.zeros(PHY.n_fft, dtype=complex)
     freq[PHY.n_fft // 2] = 1.0  # subcarrier n = 0
-    x = ofdm_modulate(OfdmSymbol(freq), PHY)
+    x = ofdm_modulate(freq, PHY)
     body = x.samples[PHY.cp_len :]
     np.testing.assert_allclose(body, body[0] * np.ones(PHY.n_fft), atol=1e-15)
     assert len(x) == PHY.n_fft + PHY.cp_len
@@ -56,14 +54,14 @@ def test_modulate_impulse_gives_constant_body():
 def test_modulate_demodulate_round_trip():
     rng = np.random.default_rng(0)
     X = rand_freq(rng)
-    Y = ofdm_demodulate(ofdm_modulate(OfdmSymbol(X), PHY), PHY).freq
+    Y = ofdm_demodulate(ofdm_modulate(X, PHY), PHY)
     np.testing.assert_allclose(Y, X, atol=1e-12)
 
 
 def test_parseval_convention():
     rng = np.random.default_rng(1)
     X = rand_freq(rng)
-    x = ofdm_modulate(OfdmSymbol(X), PHY)
+    x = ofdm_modulate(X, PHY)
     body = x.samples[PHY.cp_len :]
     assert np.sum(np.abs(body) ** 2) == pytest.approx(np.sum(np.abs(X) ** 2) / PHY.n_fft)
 
@@ -71,9 +69,9 @@ def test_parseval_convention():
 def test_demodulate_flat_gain():
     rng = np.random.default_rng(2)
     X = rand_freq(rng)
-    x = ofdm_modulate(OfdmSymbol(X), PHY)
+    x = ofdm_modulate(X, PHY)
     g = 0.3 - 1.1j
-    Y = ofdm_demodulate(x.samples * g, PHY).freq
+    Y = ofdm_demodulate(x.samples * g, PHY)
     np.testing.assert_allclose(Y, g * X, atol=1e-12)
 
 
@@ -82,9 +80,9 @@ def test_demodulate_two_tap_channel_matches_oracle():
     X = rand_freq(rng)
     prof = MultipathProfile(taps=((0.9, 0.0), (0.35j, 3 * TS)))
     link = SensorLinkState(profile=prof)
-    rx = apply_multipath(ofdm_modulate(OfdmSymbol(X), PHY), prof, PHY)
-    got = ofdm_demodulate(rx, PHY).freq
-    want = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h * X
+    rx = apply_multipath(ofdm_modulate(X, PHY), prof, PHY)
+    got = ofdm_demodulate(rx, PHY)
+    want = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY) * X
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -105,9 +103,9 @@ def test_circular_convolution_property(seed):
     X = rand_freq(rng)
     prof = default_profile(PHY, ChannelConfig(), rng)
     link = SensorLinkState(profile=prof)
-    rx = apply_multipath(ofdm_modulate(OfdmSymbol(X), PHY), prof, PHY)
-    got = ofdm_demodulate(rx, PHY).freq
-    want = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h * X
+    rx = apply_multipath(ofdm_modulate(X, PHY), prof, PHY)
+    got = ofdm_demodulate(rx, PHY)
+    want = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY) * X
     np.testing.assert_allclose(got, want, atol=1e-9)
 
 
@@ -129,8 +127,8 @@ def test_qam16_unit_average_power():
     bits = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)]).ravel()
     bits = np.tile(bits, PHY.n_fft // 16)
     sym = map_qam(bits, 16, PHY)
-    assert np.mean(np.abs(sym.freq) ** 2) == pytest.approx(1.0)
-    assert len(set(np.round(sym.freq[:16], 9))) == 16
+    assert np.mean(np.abs(sym) ** 2) == pytest.approx(1.0)
+    assert len(set(np.round(sym[:16], 9))) == 16
 
 
 def test_qam_rejects_bit_count_mismatch():
@@ -144,7 +142,7 @@ def test_qam_flat_channel_ls_loop_zero_errors():
     pilot = make_pilot_plan(PHY, 1, seed=1).pilot_symbols[0]
     bits = rng.integers(0, 2, size=4 * PHY.n_fft)
     data = map_qam(bits, 16, PHY)
-    rx_pilot = ofdm_demodulate(apply_multipath(ofdm_modulate(OfdmSymbol(pilot), PHY), prof, PHY), PHY)
+    rx_pilot = ofdm_demodulate(apply_multipath(ofdm_modulate(pilot, PHY), prof, PHY), PHY)
     rx_data = ofdm_demodulate(apply_multipath(ofdm_modulate(data, PHY), prof, PHY), PHY)
     est = ls_channel_estimate(rx_pilot, pilot)
     eq, reliable = equalize(rx_data, est, PHY)
@@ -164,14 +162,14 @@ def test_pam_round_trip():
 
 def test_pam_zero_vector():
     sym = map_pam(np.zeros(PHY.n_fft), PHY)
-    np.testing.assert_array_equal(sym.freq, np.zeros(PHY.n_fft))
+    np.testing.assert_array_equal(sym, np.zeros(PHY.n_fft))
 
 
 def test_pam_linearity_of_superposition():
     rng = np.random.default_rng(7)
     va = rng.uniform(-0.5, 0.5, PHY.n_fft)
     vb = rng.uniform(-0.5, 0.5, PHY.n_fft)
-    summed = OfdmSymbol(map_pam(va, PHY).freq + map_pam(vb, PHY).freq)
+    summed = map_pam(va, PHY) + map_pam(vb, PHY)
     np.testing.assert_allclose(demap_pam(summed, PHY), va + vb, atol=1e-14)
 
 
@@ -189,24 +187,24 @@ def test_pam_rejects_out_of_range():
 def test_ls_identity_channel():
     pilot = make_common_pilot(PHY, 0)
     est = ls_channel_estimate(pilot, pilot)
-    np.testing.assert_allclose(est.h, np.ones(PHY.n_fft), atol=1e-14)
+    np.testing.assert_allclose(est, np.ones(PHY.n_fft), atol=1e-14)
 
 
 def test_ls_exact_noise_free():
     rng = np.random.default_rng(8)
     pilot = make_common_pilot(PHY, 1)
     h = rand_freq(rng)
-    rx = OfdmSymbol(h * pilot.freq)
+    rx = h * pilot
     est = ls_channel_estimate(rx, pilot)
-    np.testing.assert_allclose(est.h, h, atol=1e-12)
+    np.testing.assert_allclose(est, h, atol=1e-12)
 
 
 def test_ls_rejects_zero_pilot_carrier():
     pilot = make_common_pilot(PHY, 2)
-    bad = pilot.freq.copy()
+    bad = pilot.copy()
     bad[10] = 0.0
     with pytest.raises(ValueError):
-        ls_channel_estimate(pilot, OfdmSymbol(bad))
+        ls_channel_estimate(pilot, bad)
 
 
 def test_ls_noise_variance_matches_theory():
@@ -220,7 +218,7 @@ def test_ls_noise_variance_matches_theory():
     for i in range(1000):
         rx = add_awgn(tx, snr_db, rng)
         est = ls_channel_estimate(ofdm_demodulate(rx, PHY), pilot)
-        err_acc += np.mean(np.abs(est.h - h_true) ** 2)
+        err_acc += np.mean(np.abs(est - h_true) ** 2)
         ref_acc += 1.0
     nmse_db = 10 * np.log10(err_acc / ref_acc)
     assert abs(nmse_db - (-snr_db)) < 3.0
@@ -231,13 +229,13 @@ def test_ls_unbiased():
     pilot = make_common_pilot(PHY, 4)
     prof = default_profile(PHY, ChannelConfig(), rng)
     link = SensorLinkState(profile=prof)
-    h_true = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h
+    h_true = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY)
     tx = ofdm_modulate(pilot, PHY)
     acc = np.zeros(PHY.n_fft, dtype=complex)
     n_trials = 400
     for _ in range(n_trials):
         rx = add_awgn(apply_multipath(tx, prof, PHY), 10.0, rng)
-        acc += ls_channel_estimate(ofdm_demodulate(rx, PHY), pilot).h
+        acc += ls_channel_estimate(ofdm_demodulate(rx, PHY), pilot)
     bias = np.abs(acc / n_trials - h_true)
     assert np.max(bias) < 0.05
 
@@ -245,21 +243,21 @@ def test_ls_unbiased():
 def test_equalize_identity_and_exact_recovery():
     rng = np.random.default_rng(11)
     X = rand_freq(rng)
-    est = FreqChannelEstimate(h=np.ones(PHY.n_fft))
-    eq, reliable = equalize(OfdmSymbol(X), est, PHY)
-    np.testing.assert_allclose(eq.freq, X)
+    est = np.ones(PHY.n_fft)
+    eq, reliable = equalize(X, est, PHY)
+    np.testing.assert_allclose(eq, X)
     assert reliable.all()
     h = rand_freq(rng) + 2.0  # bounded away from zero
-    eq2, _ = equalize(OfdmSymbol(h * X), FreqChannelEstimate(h=h), PHY)
-    np.testing.assert_allclose(eq2.freq, X, atol=1e-12)
+    eq2, _ = equalize(h * X, h, PHY)
+    np.testing.assert_allclose(eq2, X, atol=1e-12)
 
 
 def test_equalize_flags_deep_fade():
     h = np.ones(PHY.n_fft, dtype=complex)
     h[5] = 1e-9
-    eq, reliable = equalize(OfdmSymbol(np.ones(PHY.n_fft)), FreqChannelEstimate(h=h), PHY)
+    eq, reliable = equalize(np.ones(PHY.n_fft), h, PHY)
     assert not reliable[5] and reliable[6]
-    assert np.all(np.isfinite(eq.freq))
+    assert np.all(np.isfinite(eq))
 
 
 def test_equalized_qam_through_default_multipath_at_30db():
@@ -284,40 +282,9 @@ def test_equalized_qam_through_default_multipath_at_30db():
 
 def test_average_estimates_reduces_noise():
     rng = np.random.default_rng(13)
-    ests = [FreqChannelEstimate(h=1.0 + 0.1 * (rng.standard_normal(PHY.n_fft)
-            + 1j * rng.standard_normal(PHY.n_fft))) for _ in range(4)]
+    ests = [1.0 + 0.1 * (rng.standard_normal(PHY.n_fft) + 1j * rng.standard_normal(PHY.n_fft))
+            for _ in range(4)]
     avg = average_estimates(ests)
-    spread = np.mean(np.abs(avg.h - 1.0) ** 2)
-    single = np.mean(np.abs(ests[0].h - 1.0) ** 2)
+    spread = np.mean(np.abs(avg - 1.0) ** 2)
+    single = np.mean(np.abs(ests[0] - 1.0) ** 2)
     assert spread < single
-
-
-# ---------------------------------------------------------------------------
-# nulled DC and edge-guard carriers
-# ---------------------------------------------------------------------------
-
-def test_guard_carrier_mask_shapes():
-    phy = PhyConfig(null_dc=True, edge_guards=4)
-    mask = phy.used_carriers()
-    assert phy.n_used == PHY.n_fft - 9
-    assert not mask[PHY.n_fft // 2] and not mask[0] and not mask[-1]
-    assert mask[5]
-
-
-def test_guard_carriers_round_trip_qam_and_pam():
-    phy = PhyConfig(null_dc=True, edge_guards=4)
-    rng = np.random.default_rng(20)
-    bits = rng.integers(0, 2, size=4 * phy.n_used)
-    sym = map_qam(bits, 16, phy)
-    assert np.all(sym.freq[~phy.used_carriers()] == 0)
-    np.testing.assert_array_equal(demap_qam(sym, 16, phy), bits)
-    v = rng.uniform(-1, 1, phy.n_used)
-    np.testing.assert_allclose(demap_pam(map_pam(v, phy), phy), v, atol=1e-15)
-
-
-def test_guard_carriers_ls_marks_unused_invalid():
-    phy = PhyConfig(null_dc=True, edge_guards=2)
-    pilot = make_common_pilot(phy, 6)
-    est = ls_channel_estimate(pilot, pilot, used=phy.used_carriers())
-    assert not est.valid[phy.n_fft // 2]
-    assert est.valid[10]

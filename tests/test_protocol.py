@@ -18,9 +18,9 @@ from airfed.channel import (
     subcarrier_indices,
     unit_profile,
 )
-from airfed.config import ChannelConfig, PhyConfig
-from airfed.framing import slice_frame
-from airfed.ofdm import FreqChannelEstimate, OfdmSymbol, average_estimates, ls_channel_estimate
+from airfed.config import ChannelConfig, ConfigError, PhyConfig
+from airfed.framing import assemble_frame, slice_frame
+from airfed.ofdm import average_estimates, ls_channel_estimate, map_pam
 from airfed.protocol import (
     HandshakeSession,
     PreEqState,
@@ -49,7 +49,7 @@ def ramp_channel(phi=0.0, tau_s=0.0, noise=0.0, rng=None):
     h = np.exp(1j * (phi + 2 * np.pi * n * PHY.fs_hz * tau_s / N))
     if noise > 0:
         h = h + noise * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-    return FreqChannelEstimate(h=h, kind="OTA")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_residual_cfo_identical_estimates():
 def test_residual_cfo_constructed_rotation():
     h0 = ramp_channel(phi=0.3, tau_s=-4 * TS)
     dt = 1e-3
-    h1 = FreqChannelEstimate(h=h0.h * np.exp(2j * np.pi * 50.0 * dt), kind="DL")
+    h1 = h0 * np.exp(2j * np.pi * 50.0 * dt)
     est = estimate_residual_cfo_sensor(h0, h1, dt, PHY)
     assert est == pytest.approx(50.0, abs=1e-9)
 
@@ -112,7 +112,7 @@ def test_residual_cfo_unbiased_under_noise():
     shots = []
     for _ in range(1000):
         h0 = ramp_channel(noise=0.1, rng=rng)
-        h1 = FreqChannelEstimate(h=ramp_channel(noise=0.1, rng=rng).h * np.exp(2j * np.pi * f_true * dt))
+        h1 = ramp_channel(noise=0.1, rng=rng) * np.exp(2j * np.pi * f_true * dt)
         shots.append(estimate_residual_cfo_sensor(h0, h1, dt, PHY))
     shots = np.array(shots)
     assert abs(np.mean(shots) - f_true) < 3 * np.std(shots) / np.sqrt(len(shots))
@@ -123,7 +123,7 @@ def test_residual_cfo_with_drift_deramp():
     h0 = ramp_channel(tau_s=0.0)
     dt = 1e-3
     n = subcarrier_indices(N)
-    h1 = FreqChannelEstimate(h=h0.h * np.exp(2j * np.pi * 40.0 * dt) * np.exp(2j * np.pi * n / N))
+    h1 = h0 * np.exp(2j * np.pi * 40.0 * dt) * np.exp(2j * np.pi * n / N)
     est = estimate_residual_cfo_sensor(h0, h1, dt, PHY, drift_samples=1)
     assert est == pytest.approx(40.0, abs=1e-9)
 
@@ -158,9 +158,9 @@ def test_update_tau_one_sample_dl_shift():
     # difference shrank by one sample
     h0 = ramp_channel(tau_s=0.0)
     n = subcarrier_indices(N)
-    h_up = FreqChannelEstimate(h=h0.h * np.exp(2j * np.pi * n / N))
+    h_up = h0 * np.exp(2j * np.pi * n / N)
     assert update_tau(0.0, integer_sample_drift(h0, h_up, PHY), PHY) == pytest.approx(-TS)
-    h_dn = FreqChannelEstimate(h=h0.h * np.exp(-2j * np.pi * n / N))
+    h_dn = h0 * np.exp(-2j * np.pi * n / N)
     assert update_tau(0.0, integer_sample_drift(h0, h_dn, PHY), PHY) == pytest.approx(TS)
 
 
@@ -182,7 +182,7 @@ def test_drift_detection_with_multipath_and_noise():
     rng = np.random.default_rng(1)
     prof = default_profile(PHY, ChannelConfig(), rng)
     link = SensorLinkState(profile=prof)
-    base = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY).h
+    base = effective_channel_oracle(link, "DL", 0.0, 0.0, PHY)
     n = subcarrier_indices(N)
     for true_drift in (-1, 0, 1):
         hits = 0
@@ -190,7 +190,7 @@ def test_drift_detection_with_multipath_and_noise():
             e0 = base + 0.07 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
             e1 = base * np.exp(2j * np.pi * n * true_drift / N)
             e1 = e1 + 0.07 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-            d = integer_sample_drift(FreqChannelEstimate(h=e0), FreqChannelEstimate(h=e1), PHY)
+            d = integer_sample_drift(e0, e1, PHY)
             hits += int(d == true_drift)
         assert hits == 200
 
@@ -200,10 +200,10 @@ def test_drift_detection_with_multipath_and_noise():
 # ---------------------------------------------------------------------------
 
 def test_pre_equalize_identity():
-    x = OfdmSymbol(np.ones(N, dtype=complex))
+    x = np.ones(N, dtype=complex)
     st_ = PreEqState()
-    res = pre_equalize(x, st_, FreqChannelEstimate(h=np.ones(N)), PHY)
-    np.testing.assert_allclose(res.symbol.freq, x.freq)
+    res = pre_equalize(x, st_, np.ones(N), PHY)
+    np.testing.assert_allclose(res.symbol, x)
     assert not res.cap_exceeded and res.power_amplification == pytest.approx(1.0)
 
 
@@ -221,11 +221,11 @@ def test_pre_equalize_inverts_effective_uplink():
     h_ul = effective_channel_oracle(link, "UL", t_ul, fr, PHY)
     phi_true = -2 * np.pi * fr * (t_dl + t_ul)
     tau_true = link.to_ul_s - link.to_dl_s
-    x = OfdmSymbol(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     st_ = PreEqState(phi_hat=wrap_pi(phi_true), tau_hat=tau_true)
     res = pre_equalize(x, st_, h_dl, PHY)
-    received = h_ul.h * res.symbol.freq
-    np.testing.assert_allclose(received, x.freq, atol=1e-9)
+    received = h_ul * res.symbol
+    np.testing.assert_allclose(received, x, atol=1e-9)
 
 
 def test_pre_equalize_two_sensor_superposition():
@@ -243,22 +243,20 @@ def test_pre_equalize_two_sensor_superposition():
         h_ul = effective_channel_oracle(link, "UL", t_ul, fr, PHY)
         st_ = PreEqState(phi_hat=wrap_pi(-2 * np.pi * fr * (t_dl + t_ul)),
                          tau_hat=link.to_ul_s - link.to_dl_s)
-        x = OfdmSymbol(rng.uniform(-1, 1, N) + 0j)
+        x = rng.uniform(-1, 1, N) + 0j
         res = pre_equalize(x, st_, h_dl, PHY)
-        total += h_ul.h * res.symbol.freq
-        want += x.freq
+        total += h_ul * res.symbol
+        want += x
     np.testing.assert_allclose(total, want, atol=1e-9)
 
 
 def test_pre_equalize_flags_deep_fade_and_power_cap():
     h = np.ones(N, dtype=complex)
     h[3] = 1e-9          # deep fade carrier
-    res = pre_equalize(OfdmSymbol(np.ones(N, dtype=complex)), PreEqState(),
-                       FreqChannelEstimate(h=h), PHY)
+    res = pre_equalize(np.ones(N, dtype=complex), PreEqState(), h, PHY)
     assert res.flagged[3] and not res.flagged[4]
     h2 = np.full(N, 0.1, dtype=complex)  # uniform 20 dB amplification
-    res2 = pre_equalize(OfdmSymbol(np.ones(N, dtype=complex)), PreEqState(),
-                        FreqChannelEstimate(h=h2), PHY)
+    res2 = pre_equalize(np.ones(N, dtype=complex), PreEqState(), h2, PHY)
     assert res2.cap_exceeded
 
 
@@ -273,12 +271,12 @@ def test_stacked_pre_equalize_equals_per_symbol():
     stack = rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N))
     stack[1, 3] = 0.0           # row 1 leaves the faded carrier empty, so it stays under the cap
     stack[2] = 0.0              # a silent row has no amplification
-    st_, h_dl = PreEqState(phi_hat=0.7, tau_hat=3 * TS), FreqChannelEstimate(h=h)
-    res = pre_equalize(OfdmSymbol(stack), st_, h_dl, PHY)
-    rows = [pre_equalize(OfdmSymbol(row), st_, h_dl, PHY) for row in stack]
+    st_ = PreEqState(phi_hat=0.7, tau_hat=3 * TS)
+    res = pre_equalize(stack, st_, h, PHY)
+    rows = [pre_equalize(row, st_, h, PHY) for row in stack]
     tx = tx_ofdm(res.symbol, PHY).samples.reshape(len(stack), -1)
     for i, one in enumerate(rows):
-        assert np.array_equal(bits(res.symbol.freq[i]), bits(one.symbol.freq))
+        assert np.array_equal(bits(res.symbol[i]), bits(one.symbol))
         assert bits(res.power_amplification[i]) == bits(one.power_amplification)
         assert np.array_equal(bits(tx[i]), bits(tx_ofdm(one.symbol, PHY).samples))
     assert res.flags() == [f for one in rows for f in one.flags()] == [
@@ -292,14 +290,30 @@ def test_stacked_downlink_estimate_equals_per_pilot_reference(k_sensors):
                                round_period_s=2e-3)
     padded = SampleStream(np.pad(session.dl_frame.samples, PHY.guard))
     rx = session.air.downlink(padded, k_sensors - 1, 0.0, len(session.dl_frame))
-    t_dl, h_now, raw_pilot0, dec = session.sensors[-1].receive_dl_digital(rx, session.dl_layout)
+    _, h_now, raw_pilot0, dec = session.sensors[-1].receive_dl_digital(rx, session.dl_layout)
     # reference: one demodulation and one LS estimate per pilot, then their mean
     parts = slice_frame(rx.samples, session.dl_layout, dec.m0 - PHY.rx_backoff)
     syms = [rx_ofdm(parts[f"pilot{j}"], PHY) for j in range(k_sensors)]
-    ref = average_estimates([ls_channel_estimate(sym, session.plan.pilot_symbols[j], t_s=t_dl)
+    ref = average_estimates([ls_channel_estimate(sym, session.plan.pilot_symbols[j])
                              for j, sym in enumerate(syms)])
-    assert np.array_equal(bits(h_now.h), bits(ref.h)) and np.all(h_now.valid)
-    assert np.array_equal(bits(raw_pilot0.freq), bits(syms[0].freq))
+    assert np.array_equal(bits(h_now), bits(ref))
+    assert np.array_equal(bits(raw_pilot0), bits(syms[0]))
+
+
+def test_ota_receiver_counts_carriers_whose_common_pilot_faded():
+    # one common-pilot carrier arrives at zero: its phase cannot be read, so
+    # that carrier is unreliable in each of the frame's two data symbols
+    session = HandshakeSession([SensorLinkState(profile=unit_profile())], PHY, snr_db=math.inf,
+                               seed=0, payload_len=2 * N)
+    pilot = session.common.copy()
+    pilot[7] = 0.0
+    rows = tx_ofdm(np.concatenate([pilot[None], map_pam(np.zeros((2, N)), PHY)]), PHY).samples
+    rows = rows.reshape(3, -1)
+    frame = assemble_frame(session.ul_layout, {"ft": session.ft.symbols.astype(complex),
+                                               "pilot": rows[0], "data0": rows[1], "data1": rows[2]})
+    rx = SampleStream(np.pad(frame.samples, PHY.guard))
+    _, diag = session.ap.receive_ota(rx, session.ul_layout, 2 * N, 1.0)
+    assert diag["unreliable_carriers"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +452,7 @@ def test_handshake_recorrection_recovers_large_residual():
     # sabotage the coarse correction so the residual rides past the tracking
     # ambiguity bound; the guard must request a fresh correction and recover
     rng = np.random.default_rng(14)
-    links = draw_link_states(PHY, ChannelConfig(), 2, rng)
-    for link in links:
-        link.cfo_hz = 600.0
+    links = [replace(link, cfo_hz=600.0) for link in draw_link_states(PHY, ChannelConfig(), 2, rng)]
     session = HandshakeSession(links, PHY, snr_db=math.inf, seed=8, payload_len=256)
     session.initialize()
     # undo the coarse correction: residual 600 Hz
@@ -491,10 +503,11 @@ def test_initialize_peak_memory_is_flat_in_sensor_count():
 
 
 def test_handshake_requires_full_occupancy():
-    links = [SensorLinkState(profile=unit_profile())]
-    phy = PhyConfig(null_dc=True)
-    with pytest.raises(ValueError, match="full carrier occupancy"):
-        HandshakeSession(links, phy, snr_db=math.inf, seed=0, payload_len=64)
+    # the aggregation puts payload on every subcarrier; the config admits no guard carriers
+    with pytest.raises(ConfigError, match="null_dc must be false"):
+        PhyConfig(null_dc=True)
+    with pytest.raises(ConfigError, match="edge_guards must be 0"):
+        PhyConfig(edge_guards=2)
 
 
 def test_handshake_trace_records_events():
@@ -502,5 +515,5 @@ def test_handshake_trace_records_events():
     session = HandshakeSession(links, PHY, snr_db=math.inf, seed=9, payload_len=256)
     session.initialize()
     session.run_round([np.zeros(256) + 0.5])
-    kinds = {e.kind for e in session.trace}
+    kinds = {e["kind"] for e in session.trace}
     assert {"DlTrigger", "CtrlBroadcast", "UlPreEqAck", "DlOtaRequest", "UlOtaFrame"} <= kinds
