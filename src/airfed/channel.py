@@ -35,11 +35,11 @@ class SampleStream:
     t0_s: float = 0.0
 
     def __post_init__(self):
+        # Finiteness is checked where samples enter from outside the transmit
+        # chain (the air interface and add_awgn), not on every construction.
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 1:
             raise ValueError("sample stream must be one-dimensional")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("sample stream contains non-finite values")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -91,6 +91,16 @@ class MultipathProfile:
 
 
 @dataclass(frozen=True)
+class LinkPath:
+    """One direction of a validated link in samples: the taps and the timing offset."""
+
+    gains: np.ndarray
+    delays: np.ndarray   # integer tap delays, increasing, all below cp_len
+    shift: int           # whole samples of timing offset
+    frac: float          # the remainder, in samples
+
+
+@dataclass(frozen=True)
 class SensorLinkState:
     """Per-sensor ground-truth impairments."""
 
@@ -104,6 +114,13 @@ class SensorLinkState:
         cp_s = phy.cp_len * phy.t_s
         if abs(self.to_dl_s) >= cp_s or abs(self.to_ul_s) >= cp_s:
             raise ValueError("timing offsets must stay inside the cyclic prefix")
+
+    def paths(self, phy: PhyConfig) -> tuple[LinkPath, LinkPath]:
+        """The validated downlink and uplink paths, for computing once per session."""
+        self.validate(phy)
+        gains, delays = self.profile.gains(), self.profile.delays_samples(phy)
+        return tuple(LinkPath(gains, delays, *_split_offset(to_s, phy))
+                     for to_s in (self.to_dl_s, self.to_ul_s))
 
 
 def unit_profile() -> MultipathProfile:
@@ -163,11 +180,19 @@ def apply_cfo(x: SampleStream, cfo_hz: float, phy: PhyConfig) -> SampleStream:
     """Rotate sample m by exp(j 2 pi cfo (t0 + m Ts)); timestamps preserved."""
     if cfo_hz == 0.0:
         return x.copy()
-    # Out of place on purpose: numpy's SIMD complex multiply and exp change the
-    # last bits with operand order and with an output aliasing an input.
-    return SampleStream(
-        x.samples * np.exp(2j * np.pi * cfo_hz * (x.t0_s + np.arange(len(x)) * phy.t_s)), x.t0_s
-    )
+    return SampleStream(_rotate(x.samples, cfo_hz, x.t0_s, phy), x.t0_s)
+
+
+def _rotate(samples: np.ndarray, cfo_hz: float, t0_s: float, phy: PhyConfig) -> np.ndarray:
+    """samples[m] * exp(j 2 pi cfo (t0 + m Ts)), the one expression for every CFO rotation.
+
+    Out of place on purpose: numpy's SIMD complex multiply and exp change
+    the last bits with operand order and with an output aliasing an input,
+    and numpy reuses a temporary of 256 KiB or more as the output, which
+    swaps the operands.  Every caller gets the same bits for the same
+    samples because they all run this one expression.
+    """
+    return samples * np.exp(2j * np.pi * cfo_hz * (t0_s + np.arange(samples.shape[-1]) * phy.t_s))
 
 
 def apply_timing_offset(x: SampleStream, dt_s: float, phy: PhyConfig) -> SampleStream:
@@ -180,19 +205,57 @@ def apply_timing_offset(x: SampleStream, dt_s: float, phy: PhyConfig) -> SampleS
     """
     if abs(dt_s) >= phy.cp_len * phy.t_s:
         raise ValueError("timing offset exceeds the cyclic prefix budget")
-    shift = dt_s / phy.t_s
-    k = int(np.round(shift))
-    frac = shift - k
+    k, frac = _split_offset(dt_s, phy)
     out = x.samples
     if k > 0:
         out = np.concatenate([out[k:], np.zeros(k, dtype=np.complex128)])
     elif k < 0:
         out = np.concatenate([np.zeros(-k, dtype=np.complex128), out[:k]])
     if frac != 0.0:
-        m = len(out)
-        bins = np.fft.fftfreq(m) * m
-        out = np.fft.ifft(np.fft.fft(out) * np.exp(2j * np.pi * bins * frac / m))
+        out = _fractional_delay(out, frac)
     return SampleStream(out, x.t0_s)
+
+
+def _split_offset(dt_s: float, phy: PhyConfig) -> tuple[int, float]:
+    """A timing offset as whole samples plus a remainder in samples."""
+    shift = dt_s / phy.t_s
+    k = int(np.round(shift))
+    return k, shift - k
+
+
+def _fractional_delay(x: np.ndarray, frac: float) -> np.ndarray:
+    """The cyclic all-pass phase ramp of a sub-sample offset, through the full-length DFT."""
+    m = len(x)
+    bins = np.fft.fftfreq(m) * m
+    return np.fft.ifft(np.fft.fft(x) * np.exp(2j * np.pi * bins * frac / m))
+
+
+def impair_rows(x: np.ndarray, t0_s: float, paths: list[LinkPath], cfo_hz: np.ndarray,
+                phy: PhyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Multipath, timing offset and CFO rotation of several links at once.
+
+    ``x`` is one stream sent on every path, or one row per path.  Row r of
+    the result is bit for bit ``apply_cfo(apply_timing_offset(apply_multipath(
+    x, ...), ...), cfo_hz[r], ...)`` on ``paths[r]``, zero-padded to the
+    longest row; the second result holds each row's own length.  The taps
+    are added in order straight into their shifted positions, which is the
+    same sum as convolving first and shifting after, and the rotation is
+    apply_cfo's own expression.  The work goes row by row, so that a row
+    stays in cache; a (rows, n) rotation was no faster.
+    """
+    n = x.shape[-1]
+    lengths = np.array([n + int(p.delays[-1]) for p in paths])
+    out = np.zeros((len(paths), int(lengths.max())), dtype=np.complex128)
+    for r, (p, length) in enumerate(zip(paths, lengths)):
+        xr = x if x.ndim == 1 else x[r]
+        for g, d in zip(p.gains, p.delays):
+            lo, hi = max(0, p.shift - d), min(n, length + p.shift - d)
+            out[r, d + lo - p.shift : d + hi - p.shift] += g * xr[lo:hi]
+        if p.frac != 0.0:
+            out[r, :length] = _fractional_delay(out[r, :length], p.frac)
+        if cfo_hz[r] != 0.0:  # a zero offset leaves its row as it is, as apply_cfo does
+            out[r, :length] = _rotate(out[r, :length], float(cfo_hz[r]), t0_s, phy)
+    return out, lengths
 
 
 def add_awgn(x: SampleStream, snr_db: float, rng_seed) -> SampleStream:
@@ -202,26 +265,45 @@ def add_awgn(x: SampleStream, snr_db: float, rng_seed) -> SampleStream:
     seed or a numpy Generator; a fixed seed reproduces the noise exactly.
     """
     if math.isinf(snr_db) and snr_db > 0:
-        return x.copy()
-    p_sig = float(np.mean(np.abs(x.samples) ** 2))
-    if p_sig <= 0.0:
-        raise ValueError("cannot set an SNR on a zero-power stream")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return add_noise(x, p_sig, snr_db, rng)
+        out = x.copy()
+    else:
+        p_sig = float(np.mean(np.abs(x.samples) ** 2))
+        if p_sig <= 0.0:
+            raise ValueError("cannot set an SNR on a zero-power stream")
+        rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+        out = add_noise(x, p_sig, snr_db, rng)
+    check_finite(out.samples)
+    return out
 
 
 def add_noise(x: SampleStream, p_ref: float, snr_db: float, rng: np.random.Generator) -> SampleStream:
     """Add complex white Gaussian noise ``snr_db`` below the power ``p_ref``.
 
-    Bit for bit ``x + s * (a + 1j * b)``, with ``s`` the per-component noise
-    deviation and ``a`` then ``b`` drawn from ``rng``: per component it is the
-    same rounded multiply and add, without a complex noise array beside x.
+    The one-row case of ``add_noise_rows``, on a copy of x.
+    """
+    rows = x.samples[None].copy()
+    return SampleStream(add_noise_rows(rows, np.array([p_ref]), snr_db, rng, [len(x)])[0], x.t0_s)
+
+
+def add_noise_rows(rows: np.ndarray, p_ref: np.ndarray, snr_db: float, rng: np.random.Generator,
+                   lengths) -> np.ndarray:
+    """Add noise ``snr_db`` below ``p_ref[r]`` to the first ``lengths[r]`` samples of each row, in place.
+
+    Row after row, ``rng`` draws the row's real parts, then its imaginary
+    parts.  Each sample gets bit for bit ``x + s * (a + 1j * b)``, with ``s``
+    the row's per-component noise deviation: per component it is the same
+    rounded multiply and add, without a complex noise array beside x.
     """
     s = np.sqrt(p_ref / (10.0 ** (snr_db / 10.0)) / 2.0)
-    out = x.samples.copy()
-    out.real += s * rng.standard_normal(len(x))
-    out.imag += s * rng.standard_normal(len(x))
-    return SampleStream(out, x.t0_s)
+    for row, s_r, length in zip(rows, s, lengths):
+        row[:length].real += s_r * rng.standard_normal(length)
+        row[:length].imag += s_r * rng.standard_normal(length)
+    return rows
+
+
+def check_finite(samples: np.ndarray) -> None:
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("sample stream contains non-finite values")
 
 
 # ---------------------------------------------------------------------------

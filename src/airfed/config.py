@@ -26,6 +26,26 @@ _PHY_POSITIVE = ("fs_hz", "pilot_amp", "dl_pilot_amp", "ota_pilot_amp", "pam_amp
                  "eq_floor", "power_cap")
 
 
+def _check_finite(obj, names, low: float | None = None, strict: bool = True) -> None:
+    """Each named float field must be finite and, with ``low``, above it (or at it when not ``strict``)."""
+    for name in names:
+        value = getattr(obj, name)
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        if ok and low is not None:
+            ok = value > low if strict else value >= low
+        if not ok:
+            bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
+            raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def _check_counts(obj, names) -> None:
+    """Each named field must be an integer >= 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhyConfig:
     """Physical-layer constants shared by every module.
@@ -67,14 +87,10 @@ class PhyConfig:
         if self.edge_guards != 0:
             raise ConfigError(
                 f"edge_guards must be 0 (every subcarrier carries data), got {self.edge_guards!r}")
-        for name in _PHY_POSITIVE:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        _check_finite(self, _PHY_POSITIVE, low=0)
         if not 0 < self.clip_quantile <= 1:
             raise ConfigError(f"clip_quantile must be in (0, 1], got {self.clip_quantile!r}")
-        if not math.isfinite(self.gamma_th):
-            raise ConfigError(f"gamma_th must be finite, got {self.gamma_th!r}")
+        _check_finite(self, ("gamma_th",))
         if self.m_ft % 2 != 0:
             raise ConfigError(f"m_ft must be even, got {self.m_ft}")
         if self.m_cfo_init <= self.n_fft:
@@ -120,6 +136,8 @@ class ChannelConfig:
     random_tap_phases: bool = True
 
     def __post_init__(self):
+        _check_finite(self, ("cfo_bound_hz",), low=0, strict=False)
+        _check_finite(self, ("tap_decay",))
         if any(d < 0 for d in self.tap_delays):
             raise ConfigError("tap delays must be non-negative")
         if list(self.tap_delays) != sorted(set(self.tap_delays)):
@@ -174,6 +192,17 @@ class CfoParams:
     track_residual_hz: float = 5.0
     track_period_s: float = 1e-3
 
+    def __post_init__(self):
+        _check_counts(self, ("track_updates", "track_trials"))
+        _check_finite(self, ("track_residual_hz", "track_period_s"), low=0)
+
+
+def _check_schedule(params) -> None:
+    """A round schedule: counts >= 1, a finite positive period and a finite non-negative turnaround."""
+    _check_counts(params, ("rounds", "payload_len"))
+    _check_finite(params, ("round_period_s",), low=0)
+    _check_finite(params, ("turnaround_s",), low=0, strict=False)
+
 
 @dataclass(frozen=True)
 class ApbParams:
@@ -181,6 +210,9 @@ class ApbParams:
     payload_len: int = 1024
     round_period_s: float = 1e-3
     turnaround_s: float = 3e-4
+
+    def __post_init__(self):
+        _check_schedule(self)
 
 
 @dataclass(frozen=True)
@@ -199,6 +231,9 @@ class E2eParams:
     payload_len: int = 512
     round_period_s: float = 1e-3
     turnaround_s: float = 3e-4
+
+    def __post_init__(self):
+        _check_schedule(self)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .ofdm import (
     map_qam,
     qam_symbol_error_count,
 )
-from .protocol import HandshakeSession, rx_ofdm, tx_ofdm
+from .protocol import HandshakeSession, min_round_period_s, rx_ofdm, tx_ofdm
 from .sync import CfoEstimate, coarse_cfo_estimate, start_tracking, track_residual_cfo
 
 
@@ -245,9 +245,14 @@ def run_constellation(cfg: ExperimentConfig) -> ScenarioResult:
 # A+B aggregation test
 # ---------------------------------------------------------------------------
 
-def _session(cfg: ExperimentConfig, links, seed: int, payload_len: int, timing,
+def _session(cfg: ExperimentConfig, links, seed: int, payload_len: int, section: str,
              compensation: bool) -> HandshakeSession:
-    """An initialized session at the config's highest SNR and ``timing``'s frame schedule."""
+    """An initialized session at the config's highest SNR and the frame schedule of ``cfg.<section>``."""
+    timing = getattr(cfg, section)
+    need = min_round_period_s(cfg.phy, len(links), payload_len, timing.turnaround_s)
+    if timing.round_period_s < need:
+        raise ConfigError(f"{section}.round_period_s must be at least {need:.6g} s for {len(links)} sensors "
+                          f"(one downlink, one uplink and two turnarounds), got {timing.round_period_s!r}")
     session = HandshakeSession(
         links, cfg.phy, snr_db=float(cfg.snr_db[-1]), seed=seed, payload_len=payload_len,
         compensation=compensation,
@@ -258,7 +263,7 @@ def _session(cfg: ExperimentConfig, links, seed: int, payload_len: int, timing,
 
 
 def _run_apb_session(cfg: ExperimentConfig, links, payloads, compensation: bool):
-    session = _session(cfg, links, cfg.seed, cfg.apb.payload_len, cfg.apb, compensation)
+    session = _session(cfg, links, cfg.seed, cfg.apb.payload_len, "apb", compensation)
     results = [session.run_round(p) for p in payloads]
     return session, results
 
@@ -311,7 +316,7 @@ def train_ota(cfg: ExperimentConfig, rss, seed: int):
     links_rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     links = draw_link_states(cfg.phy, cfg.channel, tcfg.n_sensors, links_rng)
     # training has no timing fields of its own: it runs on the A+B frame schedule
-    session = _session(cfg, links, seed, len(init_model(seed).w), cfg.apb, cfg.compensation)
+    session = _session(cfg, links, seed, len(init_model(seed).w), "apb", cfg.compensation)
     nmses = []
 
     def over_the_air(grads):
@@ -378,7 +383,7 @@ def run_e2e(cfg: ExperimentConfig) -> ScenarioResult:
     """Short handshake exposing all per-round estimator trajectories."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 61)))
     links = draw_link_states(cfg.phy, cfg.channel, 2, rng)
-    session = _session(cfg, links, cfg.seed, cfg.e2e.payload_len, cfg.e2e, cfg.compensation)
+    session = _session(cfg, links, cfg.seed, cfg.e2e.payload_len, "e2e", cfg.compensation)
     pay_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 62)))
     table = MetricTable("e2e", ("round", "sensor", "nmse_d", "phi_hat", "tau_hat_samples",
                                 "dfr_hat_hz", "dfr_mean_hz", "detect_m0", "retried"))

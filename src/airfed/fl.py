@@ -274,27 +274,34 @@ def eta_schedule(cfg: TrainConfig, t: int) -> float:
 # gradient <-> PAM payload mapping
 # ---------------------------------------------------------------------------
 
-def payload_scale(vectors: list[np.ndarray], bound: float, q: float = 1.0) -> float:
+def payload_scale(vectors, bound: float, q: float = 1.0) -> float:
     """Common per-round scale: bound over the largest reference peak across senders.
 
-    The default reference is the true maximum, which never clips and keeps
-    noiseless aggregation exactly linear.  A quantile below one trades a
-    clipped tail for more amplitude resolution on everything else.
+    ``vectors`` holds one equal-length payload per sender (a list or a
+    (senders, n) array); one quantile call covers them all.  The default
+    reference is the true maximum, which never clips and keeps noiseless
+    aggregation exactly linear.  A quantile below one trades a clipped tail
+    for more amplitude resolution on everything else.
     """
-    peak = max(float(np.quantile(np.abs(np.asarray(v, dtype=float)), q)) for v in vectors)
+    peak = float(np.max(np.quantile(np.abs(np.asarray(vectors, dtype=float)), q, axis=-1)))
     if peak == 0.0:
         return 1.0
     return bound / peak
 
 
 def chunk_payload(g: np.ndarray, n_carriers: int, scale: float):
-    """Scale, clip to [-1, 1], zero-pad, and split into per-symbol vectors."""
-    g = np.asarray(g, dtype=float).ravel()
+    """Scale, clip to [-1, 1], zero-pad, and split into per-symbol vectors.
+
+    Returns the (n_chunks, n_carriers) chunks and the payload length; a
+    (senders, n) stack gives one block of chunks per sender.
+    """
+    g = np.asarray(g, dtype=float)
     v = np.clip(g * scale, -1.0, 1.0)
-    n_chunks = max(1, int(np.ceil(len(v) / n_carriers)))
-    padded = np.zeros(n_chunks * n_carriers)
-    padded[: len(v)] = v
-    return [padded[i * n_carriers : (i + 1) * n_carriers] for i in range(n_chunks)], len(g)
+    n = g.shape[-1]
+    n_chunks = max(1, int(np.ceil(n / n_carriers)))
+    padded = np.zeros(g.shape[:-1] + (n_chunks * n_carriers,))
+    padded[..., :n] = v
+    return padded.reshape(g.shape[:-1] + (n_chunks, n_carriers)), n
 
 
 def dechunk_payload(chunks: list[np.ndarray], n_values: int, scale: float) -> np.ndarray:

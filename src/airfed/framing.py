@@ -180,8 +180,8 @@ def assemble_frame(layout: FrameLayout, parts: dict) -> SampleStream:
     return SampleStream(np.concatenate(chunks))
 
 
-def _check_fits(samples: np.ndarray, layout: FrameLayout, start: int) -> None:
-    if start < 0 or start + layout.total_len > len(samples):
+def _check_fits(samples: np.ndarray, layout: FrameLayout, start) -> None:
+    if np.any(start < 0) or np.any(start + layout.total_len > samples.shape[-1]):
         raise ValueError("frame does not fit in the buffer at the given anchor")
 
 
@@ -194,10 +194,12 @@ def slice_frame(samples: np.ndarray, layout: FrameLayout, start: int) -> dict:
     }
 
 
-def section_rows(samples: np.ndarray, layout: FrameLayout, start: int, first: str, rows: int) -> np.ndarray:
+def section_rows(samples: np.ndarray, layout: FrameLayout, start, first: str, rows: int) -> np.ndarray:
     """``rows`` sections from ``first`` on, as one (rows, length) view of the buffer.
 
-    The sections must be back to back and all as long as ``first``.
+    The sections must be back to back and all as long as ``first``.  A
+    (buffers, n) stack with one start per buffer gives a (buffers, rows,
+    length) copy, each buffer's frame at its own anchor.
     """
     _check_fits(samples, layout, start)
     i = layout.names().index(first)
@@ -206,4 +208,7 @@ def section_rows(samples: np.ndarray, layout: FrameLayout, start: int, first: st
     if len(secs) != rows or any(sec.length != length for sec in secs):
         raise ValueError(f"no {rows} sections of length {length} from {first!r} on")
     lo = start + secs[0].offset
-    return samples[lo : lo + rows * length].reshape(rows, length)
+    if samples.ndim == 1:
+        return samples[lo : lo + rows * length].reshape(rows, length)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, rows * length, axis=-1)
+    return windows[np.arange(len(samples)), lo].reshape(len(samples), rows, length)

@@ -146,7 +146,7 @@ def qam_symbol_error_count(tx: np.ndarray, rx: np.ndarray, order: int) -> int:
 def map_pam(values, phy: PhyConfig) -> np.ndarray:
     """Place real values in [-1, 1] as amplitudes v * pam_amp on the subcarriers, row by row."""
     values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != phy.n_fft:
+    if values.ndim == 0 or values.shape[-1] != phy.n_fft:
         raise ValueError(f"need exactly {phy.n_fft} values per symbol, got shape {values.shape}")
     if np.max(np.abs(values)) > 1.0 + 1e-12:
         raise ValueError("PAM values must be pre-scaled to [-1, 1]")
@@ -171,10 +171,14 @@ def ls_channel_estimate(rx_pilot: np.ndarray, known_pilot: np.ndarray) -> np.nda
 
 
 def average_estimates(estimates) -> np.ndarray:
-    """Mean of several estimates of the same channel (noise averaging), one per row."""
-    if len(estimates) == 0:
+    """Mean of several estimates of the same channel (noise averaging), one per row.
+
+    A (sets, K, N) stack gives one mean per set of K rows.
+    """
+    estimates = np.asarray(estimates)
+    if estimates.ndim < 2 or estimates.shape[-2] == 0:
         raise ValueError("nothing to average")
-    return np.mean(estimates, axis=0)
+    return np.mean(estimates, axis=-2)
 
 
 def floored_divisor(h: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:

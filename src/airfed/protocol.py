@@ -30,16 +30,16 @@ import numpy as np
 from .channel import (
     SampleStream,
     SensorLinkState,
-    add_noise,
-    apply_cfo,
-    apply_multipath,
-    apply_timing_offset,
+    add_noise_rows,
+    check_finite,
+    impair_rows,
     subcarrier_indices,
 )
 from .config import PhyConfig
 from .framing import (
     FrameLayout,
     FtSequence,
+    TimingDecision,
     assemble_frame,
     detect_frame,
     digital_frame_layout,
@@ -63,7 +63,13 @@ from .ofdm import (
     ofdm_demodulate,
     ofdm_modulate,
 )
-from .sync import CfoEstimate, coarse_cfo_estimate, needs_recorrection, start_tracking, track_residual_cfo
+from .sync import (
+    CfoEstimate,
+    coarse_cfo_estimate,
+    needs_recorrection,
+    start_tracking,
+    track_residual_cfo_rows,
+)
 
 
 class SyncLossError(RuntimeError):
@@ -97,12 +103,11 @@ class PreEqState:
     recorrection: bool = False   # request a fresh coarse correction before the next round
 
 
-def wrap_pi(angle: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    w = (angle + np.pi) % (2.0 * np.pi) - np.pi
-    if w == -np.pi:
-        w = np.pi
-    return float(w)
+def wrap_pi(angle):
+    """Reduce an angle, or each of an array of angles, to (-pi, pi]."""
+    w = (np.asarray(angle, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
+    w = np.where(w == -np.pi, np.pi, w)
+    return float(w) if w.ndim == 0 else w
 
 
 def tx_ofdm(freq: np.ndarray, phy: PhyConfig) -> SampleStream:
@@ -118,8 +123,23 @@ def tx_ofdm(freq: np.ndarray, phy: PhyConfig) -> SampleStream:
 
 
 def rx_ofdm(section: np.ndarray, phy: PhyConfig) -> np.ndarray:
-    """Undo the transmit gain and demodulate one symbol, or a (rows, N + L) stack."""
+    """Undo the transmit gain and demodulate one symbol, or a (..., N + L) stack."""
     return ofdm_demodulate(np.asarray(section) / np.sqrt(phy.n_fft), phy)
+
+
+def ft_search_len(phy: PhyConfig) -> int:
+    """Samples at the head of a sensor's received copy that its FT search scans.
+
+    The AP pads each broadcast with ``guard`` zeros, so the FT sequence is
+    sent from sample ``guard`` on.  On the way it moves by the timing offset,
+    |TO| < cp_len samples (``SensorLinkState.validate``), and each path adds
+    its tap delay, below cp_len samples (``MultipathProfile.validate``).  So
+    every path's FT copy starts before ``guard + 2 * cp_len`` and ends before
+    ``guard + 2 * cp_len + m_ft``; the search scans one more ``guard`` on top.
+    A peak further into the copy is never the frame start, so the search
+    never looks there.
+    """
+    return 2 * phy.guard + 2 * phy.cp_len + phy.m_ft
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +168,25 @@ def slope_delay(h: np.ndarray, phy: PhyConfig) -> float:
     return float(phy.n_fft / (2.0 * np.pi * phy.fs_hz) * np.angle(acc))
 
 
-def estimate_residual_cfo_sensor(
-    h_dl_prev: np.ndarray,
-    h_dl_now: np.ndarray,
-    dt_dl_s: float,
-    phy: PhyConfig,
-    drift_samples: int = 0,
-) -> float:
+def estimate_residual_cfo_sensor(h_dl_prev, h_dl_now, dt_dl_s, phy: PhyConfig, drift_samples=0):
     """Residual CFO from the rotation between two downlink estimates.
 
     A detected integer-sample timing drift is removed from the newer
     estimate first; otherwise the drift ramp would null the carrier sum.
     Unambiguous only while |f_r * dt| < 1/2 (monitored by the re-correction
-    policy, not here).
+    policy, not here).  Estimates may be (sensors, N) stacks with one period
+    and one drift per row; the result then has one value per row.
     """
-    if dt_dl_s <= 0:
+    dt_dl_s = np.asarray(dt_dl_s, dtype=float)
+    if np.any(dt_dl_s <= 0):
         raise ValueError("downlink period must be positive")
+    drift = np.asarray(drift_samples)
     now = h_dl_now
-    if drift_samples:
-        now = now * _drift_ramp(phy.n_fft, drift_samples)
-    acc = np.sum(np.conj(h_dl_prev) * now)
-    return float(np.angle(acc) / (2.0 * np.pi * dt_dl_s))
+    if np.any(drift):
+        now = np.where((drift != 0)[..., None], now * _drift_ramps(phy.n_fft, drift), now)
+    acc = np.sum(np.conj(h_dl_prev) * now, axis=-1)
+    f_r = np.angle(acc) / (2.0 * np.pi * dt_dl_s)
+    return float(f_r) if f_r.ndim == 0 else f_r
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,10 +197,15 @@ def _drift_ramp(n_fft: int, d: int) -> np.ndarray:
     return ramp
 
 
-def integer_sample_drift(
-    h_dl_prev: np.ndarray, h_dl_now: np.ndarray, phy: PhyConfig,
-    candidates: tuple[int, ...] = (-2, -1, 0, 1, 2),
-) -> int:
+def _drift_ramps(n_fft: int, drift) -> np.ndarray:
+    """One drift ramp per entry of ``drift``, stacked along a new last axis."""
+    drift = np.asarray(drift)
+    rows = [_drift_ramp(n_fft, int(d)) for d in drift.ravel()]
+    return np.stack(rows).reshape(drift.shape + (n_fft,))
+
+
+def integer_sample_drift(h_dl_prev, h_dl_now, phy: PhyConfig,
+                         candidates: tuple[int, ...] = (-2, -1, 0, 1, 2)):
     """Slope change between consecutive downlink estimates, on the sample grid.
 
     Works on the per-carrier ratio h_now * conj(h_prev), where the static
@@ -190,27 +213,29 @@ def integer_sample_drift(
     the integer ramp that matches it best.  This is the integer-rounded
     slope difference, but measured coherently across all carriers instead of
     from adjacent-carrier increments, whose noise on a frequency-selective
-    channel is comparable to half a sample per round.
+    channel is comparable to half a sample per round.  For (sensors, N)
+    stacks the result is one drift per row.
     """
     ratio = h_dl_now * np.conj(h_dl_prev)
-    scores = [np.abs(np.sum(ratio * _drift_ramp(phy.n_fft, d))) for d in candidates]
-    return int(candidates[int(np.argmax(scores))])
+    scores = np.abs(np.sum(ratio[..., None, :] * _drift_ramps(phy.n_fft, candidates), axis=-1))
+    best = np.asarray(candidates)[np.argmax(scores, axis=-1)]
+    return int(best) if best.ndim == 0 else best
 
 
-def update_phi(phi_hat: float, dfr_hat: float, dt_dl_s: float, dt_ul_s: float) -> float:
-    """The phase estimate advanced by the residual-CFO rotation over one round."""
+def update_phi(phi_hat, dfr_hat, dt_dl_s, dt_ul_s):
+    """The phase estimate advanced by the residual-CFO rotation over one round (elementwise)."""
     return wrap_pi(phi_hat - 2.0 * np.pi * dfr_hat * (dt_dl_s + dt_ul_s))
 
 
-def update_tau(tau_hat: float, drift: int, phy: PhyConfig) -> float:
-    """The delay estimate after an integer-sample drift of the downlink slope.
+def update_tau(tau_hat, drift, phy: PhyConfig):
+    """The delay estimate after an integer-sample drift of the downlink slope (elementwise).
 
     A downlink drift of delta samples (see ``integer_sample_drift``) moves
     the downlink slope by +delta while the uplink side stays put, so the
     uplink-minus-downlink delay moves by -delta.  Drift beyond one sample
     signals sync loss.
     """
-    if abs(drift) > 1:
+    if np.any(np.abs(drift) > 1):
         raise SyncLossError(f"drift {drift} samples")
     return tau_hat - drift * phy.t_s
 
@@ -228,14 +253,26 @@ class PreEqResult:
         return [f for cap in np.atleast_1d(self.cap_exceeded) for f in ["power_cap"] * bool(cap) + fade]
 
 
-def pre_equalize(
-    x: np.ndarray, state: PreEqState, h_dl_now: np.ndarray, phy: PhyConfig
-) -> PreEqResult:
-    """Invert the predicted uplink effective channel ahead of transmission, row by row."""
+def pre_equalize(x: np.ndarray, state: PreEqState, h_dl_now: np.ndarray, phy: PhyConfig) -> PreEqResult:
+    """Invert the predicted uplink effective channel ahead of transmission, row by row.
+
+    The one-sensor case of ``pre_equalize_sensors``.
+    """
+    res = pre_equalize_sensors(np.asarray(x)[None], np.array([state.phi_hat]), np.array([state.tau_hat]),
+                               np.asarray(h_dl_now)[None], phy)
+    return PreEqResult(res.symbol[0], res.flagged[0], res.power_amplification[0], res.cap_exceeded[0])
+
+
+def pre_equalize_sensors(x: np.ndarray, phi_hat: np.ndarray, tau_hat: np.ndarray, h_dl_now: np.ndarray,
+                         phy: PhyConfig) -> PreEqResult:
+    """Pre-equalize each sensor's rows: ``x`` is (sensors, ..., N), the estimates one per sensor.
+
+    Every field of the result keeps the leading sensor axis.
+    """
     n = subcarrier_indices(phy.n_fft)
-    ramp = np.exp(1j * (state.phi_hat + 2.0 * np.pi * n * phy.fs_hz * state.tau_hat / phy.n_fft))
+    ramp = np.exp(1j * (phi_hat[:, None] + 2.0 * np.pi * n * phy.fs_hz * tau_hat[:, None] / phy.n_fft))
     safe, flagged = floored_divisor(ramp * h_dl_now, phy.eq_floor)
-    out = x / safe
+    out = x / safe.reshape(len(safe), *(1,) * (x.ndim - 2), phy.n_fft)
     p_in = np.mean(np.abs(x) ** 2, axis=-1)
     amp = np.divide(np.mean(np.abs(out) ** 2, axis=-1), p_in, out=np.zeros_like(p_in), where=p_in > 0)
     return PreEqResult(
@@ -255,7 +292,10 @@ class AirInterface:
 
     The SNR is defined against the mean power of the occupied frame region
     (guard padding excluded), so zero padding around a frame does not change
-    what "20 dB" means.
+    what "20 dB" means.  Every received copy, of one sensor or of all of
+    them, goes through one kernel (``impair_rows``, then ``_noisy``), which
+    also checks that its samples are finite.  Each link's taps and timing
+    offsets are validated and converted to samples once, here.
     """
 
     def __init__(self, phy: PhyConfig, links: list[SensorLinkState], snr_db: float, rng: np.random.Generator):
@@ -263,44 +303,46 @@ class AirInterface:
         self.links = links
         self.snr_db = snr_db
         self.rng = rng
-        for link in links:
-            link.validate(phy)
+        paths = [link.paths(phy) for link in links]
+        self._dl = [dl for dl, _ in paths]
+        self._ul = [ul for _, ul in paths]
+        self._cfo_hz = np.array([link.cfo_hz for link in links], dtype=float)
 
-    def _noisy(self, x: SampleStream, frame_len: int) -> SampleStream:
-        if math.isinf(self.snr_db) and self.snr_db > 0:
-            return x
-        g = self.phy.guard
-        occupied = x.samples[g : g + frame_len]
-        p_ref = float(np.mean(np.abs(occupied) ** 2))
-        return add_noise(x, p_ref, self.snr_db, self.rng)
+    def _noisy(self, rows: np.ndarray, lengths, frame_len: int) -> np.ndarray:
+        """Receiver noise on each row, in place and in row order; then the finiteness check."""
+        if not (math.isinf(self.snr_db) and self.snr_db > 0):
+            g = self.phy.guard
+            p_ref = np.mean(np.abs(rows[:, g : g + frame_len]) ** 2, axis=-1)
+            add_noise_rows(rows, p_ref, self.snr_db, self.rng, lengths)
+        check_finite(rows)
+        return rows
+
+    def broadcast(self, tx: SampleStream, lo_corrs, frame_len: int, sensors=None) -> np.ndarray:
+        """Received copies of an AP broadcast, one row per sensor (all sensors by default).
+
+        The rows share ``tx.t0_s``; a copy shorter than the longest one is
+        zero-padded after its own end.
+        """
+        ks = list(range(len(self.links))) if sensors is None else list(sensors)
+        cfo = self._cfo_hz[ks] - np.asarray(lo_corrs, dtype=float)
+        rows, lengths = impair_rows(tx.samples, tx.t0_s, [self._dl[k] for k in ks], cfo, self.phy)
+        return self._noisy(rows, lengths, frame_len)
 
     def downlink(self, tx: SampleStream, k: int, lo_corr_hz: float, frame_len: int) -> SampleStream:
-        """One sensor's received copy of an AP broadcast."""
-        link = self.links[k]
-        y = apply_multipath(tx, link.profile, self.phy)
-        y = apply_timing_offset(y, link.to_dl_s, self.phy)
-        y = apply_cfo(y, link.cfo_hz - lo_corr_hz, self.phy)
-        return self._noisy(y, frame_len)
+        """One sensor's received copy of an AP broadcast: the one-row case of ``broadcast``."""
+        return SampleStream(self.broadcast(tx, [lo_corr_hz], frame_len, [k])[0], tx.t0_s)
 
-    def uplink_aggregate(self, txs: dict[int, SampleStream], lo_corrs: dict[int, float],
-                         frame_len: int) -> SampleStream:
-        """Sample-level sum of all sensors' uplink transmissions plus noise.
+    def uplink_aggregate(self, frames: np.ndarray, t0_s: float, lo_corrs, frame_len: int) -> SampleStream:
+        """Sample-level sum of all sensors' uplink transmissions (row k from sensor k) plus noise.
 
-        Each arrival is added to the running sum, in sensor order, as soon as
-        it is made; the sum grows with zeros when a longer arrival comes.
+        The arrivals are added to one zero-started sum in sensor order.
         """
-        total = np.zeros(0, dtype=np.complex128)
-        t0 = None
-        for k, tx in txs.items():
-            link = self.links[k]
-            y = apply_multipath(tx, link.profile, self.phy)
-            y = apply_timing_offset(y, link.to_ul_s, self.phy)
-            y = apply_cfo(y, -(link.cfo_hz - lo_corrs[k]), self.phy)
-            if len(y) > len(total):
-                total = np.pad(total, (0, len(y) - len(total)))
-            total[: len(y)] += y.samples
-            t0 = y.t0_s
-        return self._noisy(SampleStream(total, t0), frame_len)
+        cfo = -(self._cfo_hz - np.asarray(lo_corrs, dtype=float))
+        rows, lengths = impair_rows(frames, t0_s, self._ul, cfo, self.phy)
+        total = np.zeros((1, rows.shape[-1]), dtype=np.complex128)
+        for row, length in zip(rows, lengths):
+            total[0, :length] += row[:length]
+        return SampleStream(self._noisy(total, [total.shape[-1]], frame_len)[0], t0_s)
 
 
 def _pad(stream: SampleStream, phy: PhyConfig, t_start: float) -> SampleStream:
@@ -313,106 +355,170 @@ def _pad(stream: SampleStream, phy: PhyConfig, t_start: float) -> SampleStream:
 # ---------------------------------------------------------------------------
 
 class SensorNode:
-    """Receiver/transmitter logic of one sensor; sees only waveforms.
+    """Receiver/transmitter logic of the sensors; sees only waveforms.
 
-    A node holds only constants: its estimates are the ``PreEqState`` values
-    passed in and returned.
+    One node serves every sensor of a session: each round method takes one
+    row per sensor, row k for sensor k, and does each step for all rows at
+    once.  Row k's outputs depend only on row k and ``states[k]``.  The node
+    holds only constants: the estimates are the ``PreEqState`` values passed
+    in and returned.
     """
 
-    def __init__(self, k: int, phy: PhyConfig, ft: FtSequence, plan: PilotPlan,
+    def __init__(self, phy: PhyConfig, ft: FtSequence, plan: PilotPlan,
                  common_pilot: np.ndarray, compensation: bool = True):
-        self.k = k
         self.phy = phy
         self.ft = ft
         self.plan = plan
         self.common_pilot = common_pilot
         self.compensation = compensation
 
+    def _detect(self, rx: np.ndarray, t0_s: float) -> TimingDecision:
+        """FT search over the head of one received copy (see ``ft_search_len``)."""
+        return detect_frame(SampleStream(rx[: ft_search_len(self.phy)], t0_s), self.ft, self.phy)
+
     # -- initialization ----------------------------------------------------
 
-    def receive_preamble(self, rx: SampleStream) -> float:
-        """Coarse CFO estimate from the received init preamble."""
+    def receive_preamble(self, k: int, rx: SampleStream) -> float:
+        """Sensor k's coarse CFO estimate from its received init preamble."""
         layout = init_preamble_layout(self.phy)
-        dec = detect_frame(rx, self.ft, self.phy)
+        dec = self._detect(rx.samples, rx.t0_s)
         if not dec.valid:
-            raise FrameDetectionError(f"sensor {self.k}: preamble not detected")
+            raise FrameDetectionError(f"sensor {k}: preamble not detected")
         parts = slice_frame(rx.samples, layout, dec.m0)
         return coarse_cfo_estimate(SampleStream(parts["cfo"], rx.t0_s), self.phy)
 
     # -- downlink processing -------------------------------------------------
 
-    def receive_dl_digital(self, rx: SampleStream, layout: FrameLayout):
-        """Detect, stamp, and estimate the downlink channel from all pilots."""
+    def receive_dl_digital(self, rx: np.ndarray, t0_s: float, layout: FrameLayout):
+        """Detect, stamp, and estimate the downlink channel from all pilots, row by row.
+
+        Stops at the first row whose frame is not detected and returns the
+        rows before it: the stamps, the (rows, N) estimates, each row's raw
+        pilot 0 and the timing decisions.
+        """
         phy = self.phy
-        dec = detect_frame(rx, self.ft, phy)
-        if not dec.valid:
-            raise FrameDetectionError(f"sensor {self.k}: downlink frame not detected")
-        t_stamp = rx.t0_s + dec.m0 * phy.t_s
-        rows = section_rows(rx.samples, layout, dec.m0 - phy.rx_backoff, "pilot0", self.plan.k_sensors)
+        decs = []
+        for row in rx:
+            dec = self._detect(row, t0_s)
+            if not dec.valid:
+                break
+            decs.append(dec)
+        m0 = np.array([dec.m0 for dec in decs], dtype=int)
+        t_stamp = t0_s + m0 * phy.t_s
+        rows = section_rows(rx[: len(decs)], layout, m0 - phy.rx_backoff, "pilot0", self.plan.k_sensors)
         pilots = rx_ofdm(rows, phy)
         h_now = average_estimates(ls_channel_estimate(pilots, self.plan.pilot_symbols))
-        return t_stamp, h_now, pilots[0], dec
+        return t_stamp, h_now, pilots[:, 0], decs
 
-    def process_round_dl(self, st: PreEqState, rx: SampleStream, layout: FrameLayout,
-                         t_ul_next: float) -> tuple[PreEqState, dict]:
-        """Per-round estimate updates: the next state and a diagnostics dict."""
-        t_dl, h_now, raw_pilot0, dec = self.receive_dl_digital(rx, layout)
-        diag = {"sensor": self.k, "detect_m0": dec.m0, "detect_peak": dec.peak}
-        tracking = st.tracking
-        if self.compensation and st.h_dl_prev is not None:
-            dt_dl = t_dl - st.t_dl_prev
-            dt_ul = t_ul_next - st.t_ul_prev
-            drift = integer_sample_drift(st.h_dl_prev, h_now, self.phy)
-            try:
-                tau_hat = update_tau(st.tau_hat, drift, self.phy)
-            except SyncLossError as exc:
-                raise SyncLossError(f"sensor {self.k}: {exc}") from exc
-            dfr_hat = estimate_residual_cfo_sensor(st.h_dl_prev, h_now, dt_dl, self.phy, drift)
-            st = replace(st, phi_hat=update_phi(st.phi_hat, dfr_hat, dt_dl, dt_ul),
-                         tau_hat=tau_hat, dfr_hat=dfr_hat)
-            if tracking.prev_pilot is not None:
-                tracking = track_residual_cfo(tracking, raw_pilot0, t_dl)
+    def process_round_dl(self, states, rx: np.ndarray, t0_s: float, layout: FrameLayout,
+                         t_ul_next: float) -> tuple[list[PreEqState], list[dict]]:
+        """Per-round estimate updates: each sensor's next state and diagnostics dict.
+
+        Errors are raised for the first sensor, in sensor order, whose
+        processing fails: a lost sync before a missed frame further on.
+        """
+        phy = self.phy
+        t_dl, h_now, raw0, decs = self.receive_dl_digital(rx, t0_s, layout)
+        # rows that carry their estimates forward; the others (stage 1, or no
+        # compensation) start tracking from this round's pilot
+        upd = [k for k in range(len(decs)) if self.compensation and states[k].h_dl_prev is not None]
+        if upd:
+            old = [states[k] for k in upd]
+            h_prev = np.stack([st.h_dl_prev for st in old])
+            drift = integer_sample_drift(h_prev, h_now[upd], phy)
+            lost = np.flatnonzero(np.abs(drift) > 1)
+            if lost.size:
+                raise SyncLossError(f"sensor {upd[lost[0]]}: drift {drift[lost[0]]} samples")
+        if len(decs) < len(rx):
+            raise FrameDetectionError(f"sensor {len(decs)}: downlink frame not detected")
+        diags = [{"sensor": k, "detect_m0": dec.m0, "detect_peak": dec.peak} for k, dec in enumerate(decs)]
+        t_list = t_dl.tolist()
+        changes = [{"h_dl_prev": h_now[k], "t_dl_prev": t_list[k], "t_ul_prev": t_ul_next}
+                   for k in range(len(rx))]
+        for k in sorted(set(range(len(rx))) - set(upd)):
+            changes[k]["tracking"] = start_tracking(states[k].tracking, raw0[k], t_list[k])
+        if upd:
+            dt_dl = t_dl[upd] - np.array([st.t_dl_prev for st in old])
+            dt_ul = t_ul_next - np.array([st.t_ul_prev for st in old])
+            tau = update_tau(np.array([st.tau_hat for st in old]), drift, phy).tolist()
+            dfr = estimate_residual_cfo_sensor(h_prev, h_now[upd], dt_dl, phy, drift)
+            phi = update_phi(np.array([st.phi_hat for st in old]), dfr, dt_dl, dt_ul).tolist()
+            trackings = [st.tracking for st in old]
+            on = [i for i, tr in enumerate(trackings) if tr.prev_pilot is not None]
+            if on:
+                rows = [upd[i] for i in on]
+                tracked = track_residual_cfo_rows([trackings[i] for i in on], raw0[rows], t_dl[rows])
+                for i, tr in zip(on, tracked):
+                    trackings[i] = tr
+            guard = phy.kappa * phy.n_fft * np.abs([tr.residual_hz for tr in trackings]) * phy.t_s
+            for i, k in enumerate(upd):
                 # check against a two-period horizon: an estimate aliased by a
                 # residual already past the bound still lands above half of it
-                if needs_recorrection(tracking, 2.0 * dt_dl):
-                    st = replace(st, recorrection=True)
-                    diag["recorrection"] = True
-            drift_guard = self.phy.kappa * self.phy.n_fft * abs(tracking.residual_hz) * self.phy.t_s
-            if drift_guard >= 0.01:
-                diag["phase_drift_guard"] = drift_guard
-            diag.update(drift=drift, dfr_hat=dfr_hat)
-        else:
-            tracking = start_tracking(tracking, raw_pilot0, t_dl)
-        diag.update(t_dl=t_dl, phi_hat=st.phi_hat, tau_hat=st.tau_hat)
-        return replace(st, h_dl_prev=h_now, t_dl_prev=t_dl, t_ul_prev=t_ul_next, tracking=tracking), diag
+                if i in on and needs_recorrection(trackings[i], 2.0 * dt_dl[i]):
+                    changes[k]["recorrection"] = diags[k]["recorrection"] = True
+                if guard[i] >= 0.01:
+                    diags[k]["phase_drift_guard"] = float(guard[i])
+                diags[k].update(drift=int(drift[i]), dfr_hat=float(dfr[i]))
+                changes[k].update(phi_hat=phi[i], tau_hat=tau[i], dfr_hat=float(dfr[i]),
+                                  tracking=trackings[i])
+        out = []
+        for st, diag, change in zip(states, diags, changes):
+            st = replace(st, **change)
+            diag.update(t_dl=change["t_dl_prev"], phi_hat=st.phi_hat, tau_hat=st.tau_hat)
+            out.append(st)
+        return out, diags
 
     # -- uplink construction -------------------------------------------------
 
-    def _preeq_rows(self, st: PreEqState, stack: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """Pre-equalize a (rows, N) stack and modulate it: (rows, N + L) samples and the flags."""
-        res = pre_equalize(stack, st if self.compensation else PreEqState(), st.h_dl_prev, self.phy)
-        return tx_ofdm(res.symbol, self.phy).samples.reshape(len(stack), -1), res.flags()
+    def _preeq_rows(self, states, stack: np.ndarray) -> tuple[np.ndarray, list[list[str]]]:
+        """Pre-equalize and modulate each sensor's (rows, N) stack.
 
-    def build_stage1_ack(self, st: PreEqState, layout: FrameLayout) -> tuple[SampleStream, list[str]]:
+        Returns the (sensors, rows * (N + L)) samples and each sensor's flags.
+        """
+        if self.compensation:
+            phi = np.array([st.phi_hat for st in states])
+            tau = np.array([st.tau_hat for st in states])
+        else:
+            phi = tau = np.zeros(len(states))
+        res = pre_equalize_sensors(stack, phi, tau, np.stack([st.h_dl_prev for st in states]), self.phy)
+        flags = [[] for _ in states]
+        for k in np.flatnonzero(res.flagged.any(axis=-1) | res.cap_exceeded.any(axis=-1)):
+            flags[k] = PreEqResult(res.symbol[k], res.flagged[k], res.power_amplification[k],
+                                   res.cap_exceeded[k]).flags()
+        return tx_ofdm(res.symbol, self.phy).samples.reshape(len(states), -1), flags
+
+    def build_stage1_acks(self, states, layout: FrameLayout) -> tuple[np.ndarray, list[list[str]]]:
+        """Each sensor's stage-1 answer, one frame per row.
+
+        A sensor sends its own pilot slot pre-equalized and leaves the others silent.
+        """
         phy = self.phy
-        parts: dict[str, np.ndarray | SampleStream] = {
-            "ft": self.ft.symbols.astype(np.complex128),
-            "cfo": gen_cfo_subframe(phy, phy.m_cfo_frame, phy.pilot_amp),
-        }
-        silent = np.zeros(phy.sym_len, dtype=np.complex128)
-        parts.update({f"pilot{j}": silent for j in range(self.plan.k_sensors)})
-        rows, flags = self._preeq_rows(st, self.plan.pilot_symbols[self.k : self.k + 1])
-        parts[f"pilot{self.k}"] = rows[0]
-        return assemble_frame(layout, parts), flags
+        rows, flags = self._preeq_rows(states, self.plan.pilot_symbols[: len(states), None])
+        frames = np.zeros((len(states), layout.total_len), dtype=np.complex128)
+        ft, cfo = layout.section("ft"), layout.section("cfo")
+        frames[:, : ft.length] = self.ft.symbols
+        tone = gen_cfo_subframe(phy, phy.m_cfo_frame, phy.pilot_amp).samples
+        frames[:, cfo.offset : cfo.offset + cfo.length] = tone
+        for k, row in enumerate(rows):
+            sec = layout.section(f"pilot{k}")
+            frames[k, sec.offset : sec.offset + sec.length] = row
+        return frames, flags
 
-    def build_ota_frame(self, st: PreEqState, layout: FrameLayout,
-                        chunks: list[np.ndarray]) -> tuple[SampleStream, list[str]]:
-        """The uplink frame: the common pilot, then one PAM symbol per payload chunk."""
-        stack = np.concatenate([self.common_pilot[None], map_pam(chunks, self.phy)])
-        rows, flags = self._preeq_rows(st, stack)
-        parts = {"ft": self.ft.symbols.astype(np.complex128), "pilot": rows[0]}
-        parts.update({f"data{i}": row for i, row in enumerate(rows[1:])})
-        return assemble_frame(layout, parts), flags
+    def build_ota_frames(self, states, layout: FrameLayout,
+                         chunks: np.ndarray) -> tuple[np.ndarray, list[list[str]]]:
+        """The uplink frames, one per row: the common pilot, then one PAM symbol per payload chunk.
+
+        ``chunks`` holds each sensor's (n_data, N) payload chunks.
+        """
+        stack = np.empty(chunks.shape[:1] + (1 + chunks.shape[1], self.phy.n_fft), dtype=np.complex128)
+        stack[:, 0] = self.common_pilot
+        stack[:, 1:] = map_pam(chunks, self.phy)
+        rows, flags = self._preeq_rows(states, stack)
+        frames = np.empty((len(states), layout.total_len), dtype=np.complex128)
+        pilot = layout.section("pilot").offset
+        frames[:, :pilot] = self.ft.symbols
+        frames[:, pilot:] = rows
+        return frames, flags
 
 
 class AccessPoint:
@@ -494,6 +600,17 @@ class RoundResult:
     diag: dict
 
 
+def min_round_period_s(phy: PhyConfig, k_sensors: int, payload_len: int, turnaround_s: float) -> float:
+    """The shortest round period that fits a downlink, an uplink and two turnarounds."""
+    dl_dur = (digital_frame_layout(phy, k_sensors, n_data=0).total_len + 2 * phy.guard) * phy.t_s
+    ul_dur = (ota_frame_layout(phy, _n_data(phy, payload_len)).total_len + 2 * phy.guard) * phy.t_s
+    return dl_dur + turnaround_s + ul_dur + turnaround_s
+
+
+def _n_data(phy: PhyConfig, payload_len: int) -> int:
+    return int(np.ceil(payload_len / phy.n_fft))
+
+
 class HandshakeSession:
     """Deterministic event loop driving the AP and sensors round by round.
 
@@ -528,18 +645,14 @@ class HandshakeSession:
         self.common = make_common_pilot(phy, common_seed)
         self.air = AirInterface(phy, links, snr_db, self.rng)
         self.ap = AccessPoint(phy, self.ft, self.plan, self.common)
-        self.sensors = [
-            SensorNode(k, phy, self.ft, self.plan, self.common, compensation)
-            for k in range(self.k_sensors)
-        ]
-        self.n_data = int(np.ceil(payload_len / phy.n_fft))
+        self.sensors = SensorNode(phy, self.ft, self.plan, self.common, compensation)
+        self.n_data = _n_data(phy, payload_len)
         self.dl_layout = digital_frame_layout(phy, self.k_sensors, n_data=0)
         self.ul_layout = ota_frame_layout(phy, self.n_data)
         self.dl_frame = self.ap.build_dl_digital(self.dl_layout)
         dl_dur = (self.dl_layout.total_len + 2 * phy.guard) * phy.t_s
-        ul_dur = (self.ul_layout.total_len + 2 * phy.guard) * phy.t_s
         self.ul_offset_s = dl_dur + turnaround_s
-        if round_period_s < self.ul_offset_s + ul_dur + turnaround_s:
+        if round_period_s < min_round_period_s(phy, self.k_sensors, payload_len, turnaround_s):
             raise ValueError("round period too short for the frame schedule")
         self.trace: list[dict] = []  # one JSON-ready event per entry
         self.states: tuple[PreEqState, ...] | None = None
@@ -549,16 +662,16 @@ class HandshakeSession:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _broadcast(self, t_s: float, states) -> list[SampleStream]:
+    def _broadcast(self, t_s: float, states) -> tuple[np.ndarray, float]:
+        """Every sensor's received copy of the downlink frame sent at ``t_s``, and their start time."""
         padded = _pad(self.dl_frame, self.phy, t_s)
-        return [self.air.downlink(padded, k, st.lo_corr_hz, len(self.dl_frame))
-                for k, st in enumerate(states)]
+        return self.air.broadcast(padded, [st.lo_corr_hz for st in states], len(self.dl_frame)), padded.t0_s
 
-    def _collect_ul(self, frames: dict[int, SampleStream], t_s: float, states) -> SampleStream:
-        frame_len = max(len(f) for f in frames.values())
-        padded = {k: _pad(f, self.phy, t_s) for k, f in frames.items()}
-        corrs = {k: states[k].lo_corr_hz for k in frames}
-        return self.air.uplink_aggregate(padded, corrs, frame_len)
+    def _collect_ul(self, frames: np.ndarray, t_s: float, states) -> SampleStream:
+        g = self.phy.guard
+        padded = np.pad(frames, ((0, 0), (g, g)))
+        return self.air.uplink_aggregate(padded, t_s - g * self.phy.t_s, [st.lo_corr_hz for st in states],
+                                         frames.shape[-1])
 
     # -- protocol stages -------------------------------------------------------
 
@@ -577,21 +690,19 @@ class HandshakeSession:
         # made, consumed and dropped before the next: memory stays flat in K.
         # Receiving draws no noise, so the noise stream keeps its order.
         states = []
-        for k, node in enumerate(self.sensors):
-            est = node.receive_preamble(self.air.downlink(padded, k, lo_corrs[k], preamble_len))
+        for k in range(self.k_sensors):
+            est = self.sensors.receive_preamble(k, self.air.downlink(padded, k, lo_corrs[k], preamble_len))
             states.append(PreEqState(lo_corr_hz=lo_corrs[k] + est))
             self.trace.append({"kind": "CtrlBroadcast", "t_s": t, "sensor": k, "coarse_hz": est})
         t += len(padded) * phy.t_s + self.turnaround_s
 
         self.trace.append({"kind": "DlTrigger", "t_s": t, "frame": "Stage1DL"})
         t_ul = t + self.ul_offset_s
-        states = [node.process_round_dl(st, rx, self.dl_layout, t_ul)[0]
-                  for node, st, rx in zip(self.sensors, states, self._broadcast(t, states))]
+        rx, rx_t0 = self._broadcast(t, states)
+        states, _ = self.sensors.process_round_dl(states, rx, rx_t0, self.dl_layout, t_ul)
 
-        acks = {}
-        for k, (node, st) in enumerate(zip(self.sensors, states)):
-            frame, flags = node.build_stage1_ack(st, self.dl_layout)
-            acks[k] = frame
+        acks, ack_flags = self.sensors.build_stage1_acks(states, self.dl_layout)
+        for k, flags in enumerate(ack_flags):
             if flags:
                 self.trace.append({"kind": "UlPreEqAck", "t_s": t_ul, "sensor": k, "flags": flags})
         rx = self._collect_ul(acks, t_ul, states)
@@ -632,25 +743,18 @@ class HandshakeSession:
                 f"coarse re-correction before round {self.round_index + 1} failed: {exc}"
             ) from exc
 
-    def _run_round_once(self, payloads: list[np.ndarray], t_dl: float, retried: bool) -> RoundResult:
+    def _run_round_once(self, payloads: np.ndarray, t_dl: float, retried: bool) -> RoundResult:
         t_ul = t_dl + self.ul_offset_s
         scale = payload_scale(payloads, self.phy.pam_bound, self.phy.clip_quantile)
-        chunked = [chunk_payload(g, self.phy.n_fft, scale)[0] for g in payloads]
+        chunked, _ = chunk_payload(payloads, self.phy.n_fft, scale)
         self.trace.append({"kind": "DlOtaRequest", "t_s": t_dl, "round": self.round_index})
-        states, sensor_diags = [], []
-        for node, st, rx in zip(self.sensors, self.states, self._broadcast(t_dl, self.states)):
-            st, d = node.process_round_dl(st, rx, self.dl_layout, t_ul)
-            states.append(st)
-            sensor_diags.append(d)
-        flags: list[str] = []
-        uls = {}
-        for k, (node, st) in enumerate(zip(self.sensors, states)):
-            frame, f = node.build_ota_frame(st, self.ul_layout, chunked[k])
-            uls[k] = frame
-            flags += [f"s{k}:{x}" for x in f]
+        rx, rx_t0 = self._broadcast(t_dl, self.states)
+        states, sensor_diags = self.sensors.process_round_dl(self.states, rx, rx_t0, self.dl_layout, t_ul)
+        frames, sensor_flags = self.sensors.build_ota_frames(states, self.ul_layout, chunked)
+        flags = [f"s{k}:{x}" for k, f in enumerate(sensor_flags) for x in f]
         if any("power_cap" in f for f in flags):
             raise SyncLossError("transmit power cap exceeded")
-        rx = self._collect_ul(uls, t_ul, states)
+        rx = self._collect_ul(frames, t_ul, states)
         agg, ap_diag = self.ap.receive_ota(rx, self.ul_layout, self.payload_len, scale)
         true_sum = np.sum(payloads, axis=0)
         denom = float(np.sum(true_sum**2))
@@ -688,6 +792,7 @@ class HandshakeSession:
         payloads = [np.asarray(p, dtype=float).ravel() for p in payloads]
         if any(len(p) != self.payload_len for p in payloads):
             raise ValueError(f"payloads must have length {self.payload_len}")
+        payloads = np.array(payloads)
         self._maybe_recorrect()
         self.round_index += 1
         base = self._next_dl_t

@@ -57,27 +57,37 @@ def coarse_cfo_estimate(r_init: SampleStream, phy: PhyConfig) -> float:
 
 
 def track_residual_cfo(state: CfoEstimate, rx_pilot: np.ndarray, t_p: float) -> CfoEstimate:
-    """One tracking update against the stored pilot.
+    """One tracking update against the stored pilot; the one-row case of ``track_residual_cfo_rows``.
 
     The single-shot estimate averages per-carrier rotation angles, each
     reduced to (-pi, pi], and converts phase to Hz over the elapsed time.
     The running mean then equals the arithmetic mean of all shots so far.
     """
-    if state.prev_pilot is None:
+    return track_residual_cfo_rows([state], np.asarray(rx_pilot)[None], [t_p])[0]
+
+
+def track_residual_cfo_rows(states: list[CfoEstimate], rx_pilots: np.ndarray, t_p) -> list[CfoEstimate]:
+    """One tracking update per link: row k of ``rx_pilots``, received at ``t_p[k]``, against ``states[k]``."""
+    if any(st.prev_pilot is None for st in states):
         raise ValueError("no reference pilot stored; call start_tracking first")
-    dt = t_p - state.last_t_s
-    if dt <= 0:
+    t_p = np.asarray(t_p, dtype=float)
+    dt = t_p - np.array([st.last_t_s for st in states])
+    if np.any(dt <= 0):
         raise ValueError("pilot timestamps must increase")
-    now = rx_pilot
-    prev = state.prev_pilot
+    now = np.array(rx_pilots, dtype=np.complex128)  # a private copy: its rows become the next references
+    prev = np.stack([st.prev_pilot for st in states])
     usable = (np.abs(prev) > 0) & (np.abs(now) > 0)
-    if not np.any(usable):
+    if not np.all(np.any(usable, axis=-1)):
         raise ValueError("no usable carriers for tracking")
-    angles = np.angle(now[usable] / prev[usable])
-    shot = float(np.mean(angles) / (2.0 * np.pi * dt))
-    p = state.p_count + 1
-    mean = ((p - 1) / p) * state.residual_hz + shot / p
-    return replace(state, residual_hz=mean, p_count=p, last_t_s=t_p, prev_pilot=now.copy())
+    if np.all(usable):
+        mean_angle = np.mean(np.angle(now / prev), axis=-1)
+    else:  # each row's mean over its own usable carriers
+        mean_angle = np.array([np.mean(np.angle(n[u] / p[u])) for n, p, u in zip(now, prev, usable)])
+    shot = mean_angle / (2.0 * np.pi * dt)
+    p = np.array([st.p_count for st in states]) + 1
+    mean = ((p - 1) / p) * np.array([st.residual_hz for st in states]) + shot / p
+    return [CfoEstimate(residual_hz=m, p_count=c, last_t_s=t, prev_pilot=row)
+            for m, c, t, row in zip(mean.tolist(), p.tolist(), t_p.tolist(), now)]
 
 
 def needs_recorrection(state: CfoEstimate, delta_t_s: float) -> bool:

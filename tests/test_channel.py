@@ -209,6 +209,14 @@ def test_awgn_rejects_zero_power():
         add_awgn(stream(np.zeros(8)), 10.0, 0)
 
 
+def test_awgn_checks_its_output_for_finite_samples():
+    # a stream is checked where noise is added, not when it is built
+    x = stream([1.0, np.nan, 2.0])
+    for snr_db in (10.0, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            add_awgn(x, snr_db, 0)
+
+
 def test_add_noise_bitwise_equals_complex_noise_sum():
     # the real and imaginary adds must round exactly like x + s*(a + 1j*b);
     # bits are compared because array_equal calls -0 and +0 equal

@@ -275,6 +275,36 @@ def test_cli_rejects_bad_phy_fields(tmp_path, capsys, scenario, phy, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario, section, fields, message", [
+    ("e2e", "channel", {"cfo_bound_hz": math.inf}, "cfo_bound_hz must be finite and >= 0, got inf"),
+    ("e2e", "channel", {"tap_decay": math.nan}, "tap_decay must be finite, got nan"),
+    ("cfo", "cfo", {"track_period_s": 0}, "track_period_s must be finite and > 0, got 0"),
+    ("cfo", "cfo", {"track_residual_hz": math.inf}, "track_residual_hz must be finite and > 0, got inf"),
+    ("cfo", "cfo", {"track_updates": 0}, "track_updates must be an integer >= 1, got 0"),
+    ("e2e", "e2e", {"round_period_s": math.nan}, "round_period_s must be finite and > 0, got nan"),
+    ("e2e", "e2e", {"round_period_s": 0}, "round_period_s must be finite and > 0, got 0"),
+    ("e2e", "e2e", {"turnaround_s": math.inf}, "turnaround_s must be finite and >= 0, got inf"),
+    ("e2e", "e2e", {"rounds": 0}, "rounds must be an integer >= 1, got 0"),
+    ("apb", "apb", {"round_period_s": -math.inf}, "round_period_s must be finite and > 0, got -inf"),
+    ("apb", "apb", {"turnaround_s": -1e-4}, "turnaround_s must be finite and >= 0, got -0.0001"),
+    ("apb", "apb", {"payload_len": 1.5}, "payload_len must be an integer >= 1, got 1.5"),
+    ("e2e", "e2e", {"round_period_s": 1e-5},
+     "e2e.round_period_s must be at least 0.000764583 s for 2 sensors "
+     "(one downlink, one uplink and two turnarounds), got 1e-05"),
+    ("train", "apb", {"round_period_s": 5e-4},
+     "apb.round_period_s must be at least 0.000764583 s for 2 sensors "
+     "(one downlink, one uplink and two turnarounds), got 0.0005"),
+])
+def test_cli_rejects_bad_section_fields(tmp_path, capsys, scenario, section, fields, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": scenario, "out_dir": str(tmp_path / "out"),
+                                    "phy": {"m_cfo_init": 20000}, section: fields}))
+    rc = cli_main([scenario, "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     rc = subprocess.run(
         [sys.executable, "-m", "airfed.cli", "frame-timing", "--trials", "5",

@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed.channel import (
+    MultipathProfile,
     SampleStream,
     SensorLinkState,
+    add_noise,
+    apply_cfo,
+    apply_multipath,
+    apply_timing_offset,
     default_profile,
     draw_link_states,
     effective_channel_oracle,
@@ -19,15 +24,18 @@ from airfed.channel import (
     unit_profile,
 )
 from airfed.config import ChannelConfig, ConfigError, PhyConfig
-from airfed.framing import assemble_frame, slice_frame
+from airfed.fl import chunk_payload, payload_scale
+from airfed.framing import assemble_frame, detect_frame, slice_frame
 from airfed.ofdm import average_estimates, ls_channel_estimate, map_pam
 from airfed.protocol import (
     HandshakeSession,
     PreEqState,
     ProtocolAbort,
     SyncLossError,
+    _pad,
     estimate_phi0,
     estimate_residual_cfo_sensor,
+    ft_search_len,
     integer_sample_drift,
     pre_equalize,
     run_handshake,
@@ -38,6 +46,7 @@ from airfed.protocol import (
     update_tau,
     wrap_pi,
 )
+from airfed.sync import needs_recorrection, start_tracking, track_residual_cfo
 
 PHY = PhyConfig()
 TS = PHY.t_s
@@ -283,21 +292,155 @@ def test_stacked_pre_equalize_equals_per_symbol():
         "power_cap", "deep_fade", "deep_fade", "deep_fade", "power_cap", "deep_fade"]
 
 
+def reference_copy(session, padded, k, lo_corr_hz, frame_len):
+    """One sensor's received copy through the stream-by-stream channel operators."""
+    link, phy = session.air.links[k], session.phy
+    y = apply_multipath(padded, link.profile, phy)
+    y = apply_timing_offset(y, link.to_dl_s, phy)
+    y = apply_cfo(y, link.cfo_hz - lo_corr_hz, phy)
+    p_ref = float(np.mean(np.abs(y.samples[phy.guard : phy.guard + frame_len]) ** 2))
+    return add_noise(y, p_ref, session.air.snr_db, session.rng).samples
+
+
+def reference_round_dl(node, st, rx, t0_s, layout, t_ul_next):
+    """One sensor's downlink step, pilot by pilot, with the one-sensor estimators."""
+    phy = node.phy
+    dec = detect_frame(SampleStream(rx, t0_s), node.ft, phy)
+    t_dl = t0_s + dec.m0 * phy.t_s
+    parts = slice_frame(rx, layout, dec.m0 - phy.rx_backoff)
+    pilots = [rx_ofdm(parts[f"pilot{j}"], phy) for j in range(node.plan.k_sensors)]
+    h_now = average_estimates([ls_channel_estimate(p, node.plan.pilot_symbols[j])
+                               for j, p in enumerate(pilots)])
+    tracking = st.tracking
+    if st.h_dl_prev is None:
+        tracking = start_tracking(tracking, pilots[0], t_dl)
+    else:
+        dt_dl, dt_ul = t_dl - st.t_dl_prev, t_ul_next - st.t_ul_prev
+        drift = integer_sample_drift(st.h_dl_prev, h_now, phy)
+        dfr = estimate_residual_cfo_sensor(st.h_dl_prev, h_now, dt_dl, phy, drift)
+        st = replace(st, phi_hat=update_phi(st.phi_hat, dfr, dt_dl, dt_ul),
+                     tau_hat=update_tau(st.tau_hat, drift, phy), dfr_hat=dfr)
+        tracking = track_residual_cfo(tracking, pilots[0], t_dl)
+        if needs_recorrection(tracking, 2.0 * dt_dl):
+            st = replace(st, recorrection=True)
+    return replace(st, h_dl_prev=h_now, t_dl_prev=t_dl, t_ul_prev=t_ul_next, tracking=tracking), pilots[0]
+
+
+def assert_states_equal(a, b):
+    for name in ("phi_hat", "tau_hat", "dfr_hat", "t_dl_prev", "t_ul_prev", "lo_corr_hz", "recorrection"):
+        assert bits(np.float64(getattr(a, name))) == bits(np.float64(getattr(b, name))), name
+    assert np.array_equal(bits(a.h_dl_prev), bits(b.h_dl_prev))
+    ta, tb = a.tracking, b.tracking
+    assert (ta.p_count, bits(np.float64(ta.residual_hz)), ta.last_t_s) == \
+        (tb.p_count, bits(np.float64(tb.residual_hz)), tb.last_t_s)
+    assert np.array_equal(bits(ta.prev_pilot), bits(tb.prev_pilot))
+
+
 @pytest.mark.parametrize("k_sensors", [1, 2, 3, 5, 16])
 def test_stacked_downlink_estimate_equals_per_pilot_reference(k_sensors):
-    links = draw_link_states(PHY, ChannelConfig(), k_sensors, np.random.default_rng(k_sensors))
-    session = HandshakeSession(links, PHY, snr_db=20.0, seed=k_sensors, payload_len=256,
-                               round_period_s=2e-3)
-    padded = SampleStream(np.pad(session.dl_frame.samples, PHY.guard))
-    rx = session.air.downlink(padded, k_sensors - 1, 0.0, len(session.dl_frame))
-    _, h_now, raw_pilot0, dec = session.sensors[-1].receive_dl_digital(rx, session.dl_layout)
-    # reference: one demodulation and one LS estimate per pilot, then their mean
-    parts = slice_frame(rx.samples, session.dl_layout, dec.m0 - PHY.rx_backoff)
-    syms = [rx_ofdm(parts[f"pilot{j}"], PHY) for j in range(k_sensors)]
-    ref = average_estimates([ls_channel_estimate(sym, session.plan.pilot_symbols[j])
-                             for j, sym in enumerate(syms)])
-    assert np.array_equal(bits(h_now), bits(ref))
-    assert np.array_equal(bits(raw_pilot0), bits(syms[0]))
+    # every step of a round done on K rows at once is bit for bit the
+    # sensor-by-sensor computation: received copies, estimates, next states
+    # and uplink frames
+    phy = PhyConfig(m_cfo_init=20_000)
+    links = draw_link_states(phy, ChannelConfig(), k_sensors, np.random.default_rng(k_sensors))
+    session = HandshakeSession(links, phy, snr_db=20.0, seed=k_sensors, payload_len=600, round_period_s=2e-3)
+    session.initialize()
+    states = session.states
+    lo = [st.lo_corr_hz for st in states]
+    frame_len = len(session.dl_frame)
+    padded = _pad(session.dl_frame, phy, 0.0107)
+
+    start = session.rng.bit_generator.state
+    rows = session.air.broadcast(padded, lo, frame_len)
+    end = session.rng.bit_generator.state
+    session.rng.bit_generator.state = start
+    singles = [session.air.downlink(padded, k, lo[k], frame_len).samples for k in range(k_sensors)]
+    assert session.rng.bit_generator.state == end
+    session.rng.bit_generator.state = start
+    refs = [reference_copy(session, padded, k, lo[k], frame_len) for k in range(k_sensors)]
+    assert session.rng.bit_generator.state == end
+    for row, single, ref in zip(rows, singles, refs):
+        assert np.array_equal(bits(row), bits(single))
+        assert np.array_equal(bits(row), bits(ref))
+
+    t_ul = 0.0107 + session.ul_offset_s
+    nodes = session.sensors
+    new, _ = nodes.process_round_dl(states, rows, padded.t0_s, session.dl_layout, t_ul)
+    _, _, raw0, _ = nodes.receive_dl_digital(rows, padded.t0_s, session.dl_layout)
+    for k in range(k_sensors):
+        want, raw_want = reference_round_dl(nodes, states[k], rows[k], padded.t0_s, session.dl_layout, t_ul)
+        assert_states_equal(new[k], want)
+        assert np.array_equal(bits(raw0[k]), bits(raw_want))
+
+    pays = np.random.default_rng(1).uniform(-1, 1, (k_sensors, 600))
+    scale = payload_scale(pays, phy.pam_bound, 0.99)
+    assert scale == phy.pam_bound / max(float(np.quantile(np.abs(p), 0.99)) for p in pays)
+    chunks, _ = chunk_payload(pays, phy.n_fft, scale)
+    frames, flags = nodes.build_ota_frames(new, session.ul_layout, chunks)
+    for k, st in enumerate(new):
+        one_chunks, _ = chunk_payload(pays[k], phy.n_fft, scale)
+        stack = np.concatenate([session.common[None], map_pam(one_chunks, phy)])
+        res = pre_equalize(stack, st, st.h_dl_prev, phy)
+        tx = tx_ofdm(res.symbol, phy).samples.reshape(len(stack), -1)
+        parts = {"ft": session.ft.symbols.astype(complex), "pilot": tx[0]}
+        parts.update({f"data{i}": row for i, row in enumerate(tx[1:])})
+        assert np.array_equal(bits(frames[k]), bits(assemble_frame(session.ul_layout, parts).samples))
+        assert flags[k] == res.flags()
+
+
+def test_broadcast_rows_of_different_lengths_equal_the_one_sensor_copies():
+    # links whose last taps differ give copies of different lengths: each row
+    # holds its own copy, zero after its end, and draws only its own noise
+    phy = PhyConfig(m_cfo_init=20_000)
+    profiles = (unit_profile(), default_profile(phy, ChannelConfig(), np.random.default_rng(4)),
+                MultipathProfile(taps=((0.8, 0.0), (0.5j, (phy.cp_len - 1) * phy.t_s))))
+    links = [SensorLinkState(profile=p, cfo_hz=f, to_dl_s=to * phy.t_s)
+             for p, f, to in zip(profiles, (-700.0, 0.0, 1300.0), (3, -5, 0))]
+    session = HandshakeSession(links, phy, snr_db=15.0, seed=2, payload_len=256)
+    padded = _pad(session.dl_frame, phy, 0.002)
+    lo = [25.0, 0.0, -40.0]
+    start = session.rng.bit_generator.state
+    rows = session.air.broadcast(padded, lo, len(session.dl_frame))
+    session.rng.bit_generator.state = start
+    for k, row in enumerate(rows):
+        ref = reference_copy(session, padded, k, lo[k], len(session.dl_frame))
+        assert np.array_equal(bits(row[: len(ref)]), bits(ref))
+        assert not np.any(row[len(ref) :])
+
+
+@pytest.mark.parametrize("snr_db", [20.0, math.inf])
+def test_air_interface_checks_each_received_copy_for_finite_samples(snr_db):
+    links = [SensorLinkState(profile=unit_profile()), SensorLinkState(profile=unit_profile(), cfo_hz=math.nan)]
+    session = HandshakeSession(links, PHY, snr_db=snr_db, seed=0, payload_len=256)
+    padded = _pad(session.dl_frame, PHY, 0.0)
+    session.air.downlink(padded, 0, 0.0, len(session.dl_frame))  # the finite link alone passes
+    with pytest.raises(ValueError, match="non-finite"):
+        session.air.broadcast(padded, [0.0, 0.0], len(session.dl_frame))
+
+
+@pytest.mark.parametrize("phy", [PhyConfig(m_cfo_init=20_000),
+                                 PhyConfig(m_cfo_init=20_000, cp_len=16, guard=40)])
+def test_ft_search_window_finds_what_the_whole_copy_search_finds(phy):
+    # the window covers guard + |TO| + tap delay + m_ft whatever the link, and
+    # a guard on top; over links at the extremes the windowed search and the
+    # whole-copy search take the same decision
+    reach = phy.guard + 2 * (phy.cp_len - 1) + phy.m_ft   # one past the last FT sample of any path
+    assert reach <= ft_search_len(phy) == 2 * phy.guard + 2 * phy.cp_len + phy.m_ft
+    bound = ChannelConfig().to_bound_samples
+    late = MultipathProfile(taps=((0.3, 0.0), (0.9j, (phy.cp_len - 1) * phy.t_s)))
+    links = []
+    for to in (-bound, bound, -(phy.cp_len - 1), phy.cp_len - 1):
+        drawn = default_profile(phy, ChannelConfig(), np.random.default_rng(to + 99))
+        for profile in (unit_profile(), drawn, late):
+            links.append(SensorLinkState(profile=profile, cfo_hz=1500.0, to_dl_s=to * phy.t_s))
+    for snr_db in (20.0, math.inf):
+        session = HandshakeSession(links, phy, snr_db=snr_db, seed=3, payload_len=256, round_period_s=5e-3)
+        padded = _pad(session.dl_frame, phy, 0.0)
+        rows = session.air.broadcast(padded, [0.0] * len(links), len(session.dl_frame))
+        for row in rows:
+            whole = detect_frame(SampleStream(row), session.ft, phy)
+            head = detect_frame(SampleStream(row[: ft_search_len(phy)]), session.ft, phy)
+            assert head == whole and whole.valid
 
 
 def test_ota_receiver_counts_carriers_whose_common_pilot_faded():
@@ -399,17 +542,17 @@ def test_retry_discards_the_failed_attempt():
     links = draw_link_states(PHY, ChannelConfig(), 2, rng)
     session = HandshakeSession(links, PHY, snr_db=math.inf, seed=10, payload_len=256)
     session.initialize()
-    downlink = session.air.downlink
+    broadcast = session.air.broadcast
     dropped = []
 
-    def drop_sensor1_once(tx, k, lo_corr_hz, frame_len):
-        rx = downlink(tx, k, lo_corr_hz, frame_len)
-        if k == 1 and not dropped:
+    def drop_sensor1_once(tx, lo_corrs, frame_len, sensors=None):
+        rows = broadcast(tx, lo_corrs, frame_len, sensors)
+        if not dropped:
             dropped.append(True)
-            return SampleStream(np.zeros(len(rx), dtype=complex), rx.t0_s)
-        return rx
+            rows[1] = 0.0
+        return rows
 
-    session.air.downlink = drop_sensor1_once
+    session.air.broadcast = drop_sensor1_once
     p_before = session.states[0].tracking.p_count
     pr = np.random.default_rng(17)
     pays = [pr.uniform(-1, 1, 256) for _ in range(2)]
@@ -427,22 +570,21 @@ def test_aborted_round_leaves_every_estimate_as_it_was():
     links = draw_link_states(PHY, ChannelConfig(), 2, rng)
     session = HandshakeSession(links, PHY, snr_db=math.inf, seed=10, payload_len=256)
     session.initialize()
-    downlink = session.air.downlink
+    broadcast = session.air.broadcast
 
-    def drop_sensor1(tx, k, lo_corr_hz, frame_len):
-        rx = downlink(tx, k, lo_corr_hz, frame_len)
-        if k == 1:
-            return SampleStream(np.zeros(len(rx), dtype=complex), rx.t0_s)
-        return rx
+    def drop_sensor1(tx, lo_corrs, frame_len, sensors=None):
+        rows = broadcast(tx, lo_corrs, frame_len, sensors)
+        rows[1] = 0.0
+        return rows
 
-    session.air.downlink = drop_sensor1
+    session.air.broadcast = drop_sensor1
     before = session.states
     pr = np.random.default_rng(17)
     missed = "sensor 1: downlink frame not detected"
     with pytest.raises(ProtocolAbort, match=f"^round 1 failed twice: {missed}; then {missed}$"):
         session.run_round([pr.uniform(-1, 1, 256) for _ in range(2)])
     assert session.states is before
-    del session.air.downlink
+    del session.air.broadcast
     r = session.run_round([pr.uniform(-1, 1, 256) for _ in range(2)])
     assert r.index == 2 and not r.retried
     assert r.nmse_d < 1e-18
