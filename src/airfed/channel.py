@@ -164,6 +164,65 @@ def draw_link_states(
 # ---------------------------------------------------------------------------
 # impairment operators
 # ---------------------------------------------------------------------------
+#
+# The tap sum, the CFO rotation and the noise work through a long stream in
+# blocks of _BLOCK samples and write straight into their destination, so no
+# temporary is as long as the stream.  Each block starts at a multiple of
+# _BLOCK and the last one takes the remainder: no block is shorter than
+# _BLOCK unless the whole stream is.  That keeps every sample in the same
+# numpy multiply loop as one expression over the whole stream would (a lone
+# trailing element takes a different loop and rounds differently), so every
+# result is bit for bit that of the one-shot expression.
+
+_BLOCK = 8192
+# numpy reuses a temporary of 256 KiB or more as the output of a binary
+# operation; for a complex product that swaps the operands
+_ELIDE = 16384
+
+
+def _blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """(lo, hi) of each block of an n-sample stream; the last block takes the remainder."""
+    if n < 2 * _BLOCK:  # one block, without building a range for it on every short frame
+        return ((0, n),)
+    starts = range(0, n - n % _BLOCK, _BLOCK)
+    return tuple(zip(starts, (*starts[1:], n)))
+
+
+def _taps(dst: np.ndarray, x: np.ndarray, gains, delays, shift: int) -> None:
+    """Add each tap's ``g * x[j - d + shift]`` into ``dst[j]``, taps in order, block by block.
+
+    Samples outside x contribute nothing, so a positive ``shift`` (late
+    sampling) drops the head of the stream.
+    """
+    n = len(x)
+    for lo, hi in _blocks(len(dst)):
+        for g, d in zip(gains, delays):
+            a, b = max(lo, d - shift), min(hi, n + d - shift)
+            if a < b:
+                dst[a:b] += g * x[a - d + shift : b - d + shift]
+
+
+def _rotate(dst: np.ndarray, src: np.ndarray, cfo_hz: float, t0_s: float, phy: PhyConfig) -> None:
+    """dst[m] = src[m] * exp(j 2 pi cfo (t0 + m Ts)), block by block; dst may be src.
+
+    The one rotation of every caller.  numpy's SIMD complex multiply rounds
+    the product differently with operand order, and a one-shot
+    ``src * exp(...)`` over a whole row takes its order from the row's
+    length: from _ELIDE samples on, numpy reuses the exp temporary and
+    computes ``exp(...) *= src``.  This states that rule as code, keyed on
+    the row length, not the block's: in a long row each exp block is
+    multiplied by the samples and written into the exp block; a shorter
+    row computes samples times exp.
+    """
+    n = src.shape[-1]
+    for lo, hi in _blocks(n):
+        e = np.exp(2j * np.pi * cfo_hz * (t0_s + np.arange(lo, hi) * phy.t_s))
+        if n >= _ELIDE:
+            np.multiply(e, src[lo:hi], out=e)
+            dst[lo:hi] = e
+        else:
+            dst[lo:hi] = src[lo:hi] * e
+
 
 def apply_multipath(x: SampleStream, profile: MultipathProfile, phy: PhyConfig) -> SampleStream:
     """Linear convolution with the tap response; output grows by the max delay."""
@@ -171,8 +230,7 @@ def apply_multipath(x: SampleStream, profile: MultipathProfile, phy: PhyConfig) 
     delays = profile.delays_samples(phy)
     gains = profile.gains()
     out = np.zeros(len(x) + int(delays[-1]), dtype=np.complex128)
-    for g, d in zip(gains, delays):
-        out[d : d + len(x)] += g * x.samples
+    _taps(out, x.samples, gains, delays, 0)
     return SampleStream(out, x.t0_s)
 
 
@@ -180,19 +238,9 @@ def apply_cfo(x: SampleStream, cfo_hz: float, phy: PhyConfig) -> SampleStream:
     """Rotate sample m by exp(j 2 pi cfo (t0 + m Ts)); timestamps preserved."""
     if cfo_hz == 0.0:
         return x.copy()
-    return SampleStream(_rotate(x.samples, cfo_hz, x.t0_s, phy), x.t0_s)
-
-
-def _rotate(samples: np.ndarray, cfo_hz: float, t0_s: float, phy: PhyConfig) -> np.ndarray:
-    """samples[m] * exp(j 2 pi cfo (t0 + m Ts)), the one expression for every CFO rotation.
-
-    Out of place on purpose: numpy's SIMD complex multiply and exp change
-    the last bits with operand order and with an output aliasing an input,
-    and numpy reuses a temporary of 256 KiB or more as the output, which
-    swaps the operands.  Every caller gets the same bits for the same
-    samples because they all run this one expression.
-    """
-    return samples * np.exp(2j * np.pi * cfo_hz * (t0_s + np.arange(samples.shape[-1]) * phy.t_s))
+    out = np.empty_like(x.samples)
+    _rotate(out, x.samples, cfo_hz, x.t0_s, phy)
+    return SampleStream(out, x.t0_s)
 
 
 def apply_timing_offset(x: SampleStream, dt_s: float, phy: PhyConfig) -> SampleStream:
@@ -239,22 +287,20 @@ def impair_rows(x: np.ndarray, t0_s: float, paths: list[LinkPath], cfo_hz: np.nd
     x, ...), ...), cfo_hz[r], ...)`` on ``paths[r]``, zero-padded to the
     longest row; the second result holds each row's own length.  The taps
     are added in order straight into their shifted positions, which is the
-    same sum as convolving first and shifting after, and the rotation is
-    apply_cfo's own expression.  The work goes row by row, so that a row
-    stays in cache; a (rows, n) rotation was no faster.
+    same sum as convolving first and shifting after, and the rotation runs
+    in place through apply_cfo's own kernel.  The work goes row by row and,
+    within a row, block by block; a (rows, n) rotation was no faster.
     """
     n = x.shape[-1]
     lengths = np.array([n + int(p.delays[-1]) for p in paths])
     out = np.zeros((len(paths), int(lengths.max())), dtype=np.complex128)
     for r, (p, length) in enumerate(zip(paths, lengths)):
-        xr = x if x.ndim == 1 else x[r]
-        for g, d in zip(p.gains, p.delays):
-            lo, hi = max(0, p.shift - d), min(n, length + p.shift - d)
-            out[r, d + lo - p.shift : d + hi - p.shift] += g * xr[lo:hi]
+        row = out[r, :length]
+        _taps(row, x if x.ndim == 1 else x[r], p.gains, p.delays, p.shift)
         if p.frac != 0.0:
-            out[r, :length] = _fractional_delay(out[r, :length], p.frac)
+            row[:] = _fractional_delay(row, p.frac)
         if cfo_hz[r] != 0.0:  # a zero offset leaves its row as it is, as apply_cfo does
-            out[r, :length] = _rotate(out[r, :length], float(cfo_hz[r]), t0_s, phy)
+            _rotate(row, row, float(cfo_hz[r]), t0_s, phy)
     return out, lengths
 
 
@@ -292,12 +338,16 @@ def add_noise_rows(rows: np.ndarray, p_ref: np.ndarray, snr_db: float, rng: np.r
     Row after row, ``rng`` draws the row's real parts, then its imaginary
     parts.  Each sample gets bit for bit ``x + s * (a + 1j * b)``, with ``s``
     the row's per-component noise deviation: per component it is the same
-    rounded multiply and add, without a complex noise array beside x.
+    rounded multiply and add, without a complex noise array beside x.  The
+    draws go block by block, which continues the generator's stream exactly
+    as one draw of the whole row would.
     """
     s = np.sqrt(p_ref / (10.0 ** (snr_db / 10.0)) / 2.0)
     for row, s_r, length in zip(rows, s, lengths):
-        row[:length].real += s_r * rng.standard_normal(length)
-        row[:length].imag += s_r * rng.standard_normal(length)
+        blocks = _blocks(length)
+        for part in (row[:length].real, row[:length].imag):
+            for lo, hi in blocks:
+                part[lo:hi] += s_r * rng.standard_normal(hi - lo)
     return rows
 
 

@@ -38,12 +38,12 @@ def _check_finite(obj, names, low: float | None = None, strict: bool = True) -> 
             raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
 
 
-def _check_counts(obj, names) -> None:
-    """Each named field must be an integer >= 1."""
+def _check_counts(obj, names, low: int = 1) -> None:
+    """Each named field must be an integer >= ``low``."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,7 @@ class TrainConfig:
     heatmap_n: int = 61
 
     def __post_init__(self):
-        if self.rounds < 1 or self.batch_size < 1:
-            raise ConfigError("rounds and batch_size must be positive")
+        _check_counts(self, ("rounds", "batch_size", "n_sensors"))
         if self.batch_size > self.local_n:
             raise ConfigError("batch_size cannot exceed the per-sensor dataset size")
         if self.eta_num <= 0 or self.eta_offset <= 0:
@@ -183,6 +182,10 @@ class TrainConfig:
 class FrameTimingParams:
     m_ft_grid: tuple[int, ...] = (64, 128, 256)
     window_factor: int = 3        # search window length in units of m_ft
+
+    def __post_init__(self):
+        # the frame must fit in the window with at least one offset to draw
+        _check_counts(self, ("window_factor",), low=2)
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,7 @@ class ConstellationParams:
     modulation: str = "QAM16"
 
     def __post_init__(self):
+        _check_counts(self, ("n_symbols",))
         if self.modulation not in ("QAM4", "QAM16"):
             raise ConfigError(f"unsupported constellation modulation {self.modulation!r}")
 

@@ -132,10 +132,9 @@ def run_frame_timing(cfg: ExperimentConfig) -> ScenarioResult:
 # CFO estimation (coarse residuals and tracking convergence)
 # ---------------------------------------------------------------------------
 
-def _coarse_trial(phy, channel, rng):
-    """Draw a CFO and synthesize its received init tone (noise added by caller)."""
+def _coarse_trial(phy, channel, rng, tone):
+    """Draw a CFO and pass the init tone through its channel (noise added by caller)."""
     cfo = rng.uniform(-channel.cfo_bound_hz, channel.cfo_bound_hz)
-    tone = gen_cfo_subframe(phy, phy.m_cfo_init, phy.pilot_amp)
     if not channel.ideal:
         tone = apply_multipath(tone, default_profile(phy, channel, rng), phy)
     tone = apply_cfo(tone, cfo, phy)
@@ -148,11 +147,12 @@ def run_cfo(cfg: ExperimentConfig) -> ScenarioResult:
     coarse = MetricTable("cfo", ("snr_db", "trials", "rms_residual_hz", "p95_abs_residual_hz",
                                  "frac_within_10hz"))
     trace = []
+    sent = gen_cfo_subframe(phy, phy.m_cfo_init, phy.pilot_amp)  # the same in every trial
     for s_i, snr_db in enumerate(cfg.snr_db):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 21, s_i)))
         residuals = []
         for _ in range(cfg.trials):
-            cfo, tone = _coarse_trial(phy, cfg.channel, rng)
+            cfo, tone = _coarse_trial(phy, cfg.channel, rng, sent)
             if not math.isinf(snr_db):
                 tone = add_awgn(tone, float(snr_db), rng)
             residuals.append(coarse_cfo_estimate(tone, phy) - cfo)
@@ -245,14 +245,22 @@ def run_constellation(cfg: ExperimentConfig) -> ScenarioResult:
 # A+B aggregation test
 # ---------------------------------------------------------------------------
 
+def _check_period(cfg: ExperimentConfig, n_sensors: int, payload_len: int, section: str) -> None:
+    """``cfg.<section>.round_period_s`` must fit the frame schedule of ``n_sensors``."""
+    timing = getattr(cfg, section)
+    need = min_round_period_s(cfg.phy, n_sensors, payload_len, timing.turnaround_s)
+    if timing.round_period_s < need:
+        raise ConfigError(f"{section}.round_period_s must be at least {need:.6g} s for {n_sensors} sensors "
+                          f"(one downlink, one uplink and two turnarounds), got {timing.round_period_s!r}")
+
+
 def _session(cfg: ExperimentConfig, links, seed: int, payload_len: int, section: str,
              compensation: bool) -> HandshakeSession:
-    """An initialized session at the config's highest SNR and the frame schedule of ``cfg.<section>``."""
+    """An initialized session at the config's highest SNR and the frame schedule of ``cfg.<section>``.
+
+    The caller has checked the round period with ``_check_period``.
+    """
     timing = getattr(cfg, section)
-    need = min_round_period_s(cfg.phy, len(links), payload_len, timing.turnaround_s)
-    if timing.round_period_s < need:
-        raise ConfigError(f"{section}.round_period_s must be at least {need:.6g} s for {len(links)} sensors "
-                          f"(one downlink, one uplink and two turnarounds), got {timing.round_period_s!r}")
     session = HandshakeSession(
         links, cfg.phy, snr_db=float(cfg.snr_db[-1]), seed=seed, payload_len=payload_len,
         compensation=compensation,
@@ -270,6 +278,7 @@ def _run_apb_session(cfg: ExperimentConfig, links, payloads, compensation: bool)
 
 def run_apb(cfg: ExperimentConfig) -> ScenarioResult:
     """Two sensors aggregate i.i.d. payloads; with and without compensation."""
+    _check_period(cfg, 2, cfg.apb.payload_len, "apb")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
     links = draw_link_states(cfg.phy, cfg.channel, 2, rng)
     pay_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 42)))
@@ -315,7 +324,6 @@ def train_ota(cfg: ExperimentConfig, rss, seed: int):
     tcfg = cfg.train
     links_rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     links = draw_link_states(cfg.phy, cfg.channel, tcfg.n_sensors, links_rng)
-    # training has no timing fields of its own: it runs on the A+B frame schedule
     session = _session(cfg, links, seed, len(init_model(seed).w), "apb", cfg.compensation)
     nmses = []
 
@@ -331,6 +339,9 @@ def train_ota(cfg: ExperimentConfig, rss, seed: int):
 def run_train(cfg: ExperimentConfig) -> ScenarioResult:
     """Paired over-the-air and exact-aggregation training runs."""
     tcfg = cfg.train
+    # training has no timing fields of its own: it runs on the A+B frame
+    # schedule, checked before the offline twin spends its time
+    _check_period(cfg, tcfg.n_sensors, len(init_model(cfg.seed).w), "apb")
     rss = gen_rss_map(tcfg, cfg.seed)
     model_off, losses_off = offline_baseline(tcfg, rss, cfg.seed)
     model_ota, losses_ota, nmses, session = train_ota(cfg, rss, cfg.seed)
@@ -381,6 +392,7 @@ def run_train(cfg: ExperimentConfig) -> ScenarioResult:
 
 def run_e2e(cfg: ExperimentConfig) -> ScenarioResult:
     """Short handshake exposing all per-round estimator trajectories."""
+    _check_period(cfg, 2, cfg.e2e.payload_len, "e2e")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 61)))
     links = draw_link_states(cfg.phy, cfg.channel, 2, rng)
     session = _session(cfg, links, cfg.seed, cfg.e2e.payload_len, "e2e", cfg.compensation)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed.channel import (
+    LinkPath,
     MultipathProfile,
     SampleStream,
     SensorLinkState,
@@ -16,6 +17,7 @@ from airfed.channel import (
     add_noise,
     default_profile,
     effective_channel_oracle,
+    impair_rows,
     subcarrier_indices,
     tap_response_freq,
     unit_profile,
@@ -25,6 +27,10 @@ from airfed.ofdm import ofdm_demodulate, ofdm_modulate
 
 PHY = PhyConfig()
 TS = PHY.t_s
+# long streams go through the channel in blocks of 8,192 samples: a lone
+# sample, both sides of a block and of numpy's elision threshold, a remainder
+# longer than a block, and an init preamble's length
+BLOCK_LENGTHS = (1, 8191, 8192, 8193, 16383, 16384, 16385, 24577, 1_000_133)
 
 
 def stream(arr, t0=0.0):
@@ -218,9 +224,10 @@ def test_awgn_checks_its_output_for_finite_samples():
 
 
 def test_add_noise_bitwise_equals_complex_noise_sum():
-    # the real and imaginary adds must round exactly like x + s*(a + 1j*b);
+    # the real and imaginary adds must round exactly like x + s*(a + 1j*b),
+    # and draws made block by block must continue one standard_normal(n);
     # bits are compared because array_equal calls -0 and +0 equal
-    for n in (1, 7, 10_001):
+    for n in (7, 10_001, *BLOCK_LENGTHS):
         x = random_stream(np.random.default_rng(n), n)
         before = x.samples.copy()
         y = add_noise(x, 2.5, 3.0, np.random.default_rng(11))
@@ -229,6 +236,50 @@ def test_add_noise_bitwise_equals_complex_noise_sum():
         ref = x.samples + s * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         assert np.array_equal(y.samples.view(np.uint64), ref.view(np.uint64))
         assert np.array_equal(x.samples.view(np.uint64), before.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# long streams in blocks
+# ---------------------------------------------------------------------------
+
+GAINS = np.array([0.8 + 0.3j, -0.2 + 0.1j, 0.05 - 0.07j])
+DELAYS = np.array([0, 3, 7])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def one_shot_rotation(samples, cfo_hz, t0_s):
+    # the whole-stream expression the block kernels must reproduce bit for bit
+    return samples * np.exp(2j * np.pi * cfo_hz * (t0_s + np.arange(samples.shape[-1]) * PHY.t_s))
+
+
+def one_shot_taps(x, shift):
+    n, length = len(x), len(x) + int(DELAYS[-1])
+    out = np.zeros(length, dtype=np.complex128)
+    for g, d in zip(GAINS, DELAYS):
+        lo, hi = max(0, shift - d), min(n, length + shift - d)
+        if lo < hi:  # a tap can miss a stream shorter than the offset
+            out[d + lo - shift : d + hi - shift] += g * x[lo:hi]
+    return out
+
+
+@pytest.mark.parametrize("n", BLOCK_LENGTHS)
+def test_block_kernels_bitwise_equal_one_shot(n):
+    x = random_stream(np.random.default_rng(n), n).samples
+    cfo = 417.3
+    for t0 in (0.0, 0.0123):
+        # apply_cfo writes a new array, impair_rows rotates its row in place
+        got = apply_cfo(stream(x, t0), cfo, PHY).samples
+        assert np.array_equal(bits(got), bits(one_shot_rotation(x, cfo, t0)))
+        for shift in (0, 2, -1):
+            path = LinkPath(GAINS, DELAYS, shift, 0.0)
+            rows, _ = impair_rows(x, t0, [path], np.array([cfo]), PHY)
+            want = one_shot_taps(x, shift)
+            assert np.array_equal(bits(rows[0]), bits(one_shot_rotation(want, cfo, t0)))
+    taps = apply_multipath(stream(x), MultipathProfile(tuple((g, d * TS) for g, d in zip(GAINS, DELAYS))), PHY)
+    assert np.array_equal(bits(taps.samples), bits(one_shot_taps(x, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from airfed import experiments
 from airfed.cli import main as cli_main
 from airfed.config import (
     ApbParams,
@@ -15,6 +16,7 @@ from airfed.config import (
     E2eParams,
     ExperimentConfig,
     FrameTimingParams,
+    PhyConfig,
     TrainConfig,
     config_from_dict,
     config_to_dict,
@@ -128,6 +130,15 @@ def test_cfo_scenario(tmp_path):
     manifest = run_scenario(cfg)
     assert (tmp_path / "cfo.csv").exists() and (tmp_path / "cfo_tracking.csv").exists()
     assert manifest["summary"]["tracking_nmse_last"] < manifest["summary"]["tracking_nmse_p1"]
+
+
+def test_cfo_builds_the_tone_once(tmp_path, monkeypatch):
+    # the init tone draws no random numbers, so every trial at every SNR shares one
+    calls = []
+    real = experiments.gen_cfo_subframe
+    monkeypatch.setattr(experiments, "gen_cfo_subframe", lambda *a: calls.append(a) or real(*a))
+    run_scenario(small_cfg("cfo", tmp_path, trials=3, snr_db=(0.0, 10.0), phy=PhyConfig(m_cfo_init=20000)))
+    assert len(calls) == 1
 
 
 def test_apb_scenario(tmp_path):
@@ -294,6 +305,9 @@ def test_cli_rejects_bad_phy_fields(tmp_path, capsys, scenario, phy, message):
     ("train", "apb", {"round_period_s": 5e-4},
      "apb.round_period_s must be at least 0.000764583 s for 2 sensors "
      "(one downlink, one uplink and two turnarounds), got 0.0005"),
+    ("train", "train", {"n_sensors": 0}, "n_sensors must be an integer >= 1, got 0"),
+    ("constellation", "constellation", {"n_symbols": 0}, "n_symbols must be an integer >= 1, got 0"),
+    ("frame-timing", "frame_timing", {"window_factor": 1}, "window_factor must be an integer >= 2, got 1"),
 ])
 def test_cli_rejects_bad_section_fields(tmp_path, capsys, scenario, section, fields, message):
     cfg_path = tmp_path / "cfg.json"
@@ -302,6 +316,23 @@ def test_cli_rejects_bad_section_fields(tmp_path, capsys, scenario, section, fie
     rc = cli_main([scenario, "--config", str(cfg_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_checks_the_train_period_before_the_offline_twin(tmp_path, capsys, monkeypatch):
+    # 16 sensors do not fit the default 1 ms A+B round: exit 2 without training
+    def offline_baseline(*args):
+        raise AssertionError("the offline twin ran before the config check")
+
+    monkeypatch.setattr(experiments, "offline_baseline", offline_baseline)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "train", "out_dir": str(tmp_path / "out"),
+                                    "train": {"n_sensors": 16}}))
+    rc = cli_main(["train", "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: apb.round_period_s must be at least 0.00102708 s for 16 sensors "
+        "(one downlink, one uplink and two turnarounds), got 0.001\n")
     assert not (tmp_path / "out").exists()
 
 
